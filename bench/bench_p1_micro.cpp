@@ -2,8 +2,9 @@
 //
 // The paper reports "rule set generation required no more than a few
 // seconds" on its PHP/MySQL pipeline and 45-minute full simulations.  These
-// benches document the native-code costs: rule mining, block evaluation,
-// trace generation, Apriori, and one overlay flood.
+// benches document the native-code costs: rule mining, block evaluation
+// (plain and through each strategy's test_block), trace generation, Apriori,
+// and one overlay flood.
 
 #include <benchmark/benchmark.h>
 
@@ -94,6 +95,20 @@ void BM_IncrementalBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_IncrementalBlock);
+
+void BM_StreamingBlock(benchmark::State& state) {
+  const auto pairs = shared_pairs(200'000);
+  core::StreamingRuleset strategy(10);
+  strategy.bootstrap(std::span(pairs).subspan(0, 10'000));
+  std::size_t block = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        strategy.test_block(std::span(pairs).subspan(block * 10'000, 10'000)));
+    block = block % 18 + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * 10'000);
+}
+BENCHMARK(BM_StreamingBlock);
 
 /// Support threshold scaled to the window like the paper's 10-per-10k-block
 /// calibration (floor 2, so the smallest band still mines rules).

@@ -1,47 +1,49 @@
 #include "assoc/stream.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace aar::assoc {
 
 LossyCounter::LossyCounter(double epsilon) : epsilon_(epsilon) {
-  assert(epsilon > 0.0 && epsilon < 1.0);
+  // Negated so NaN fails too; ε = 0 would make the bucket width infinite.
+  if (!(epsilon > 0.0 && epsilon < 1.0)) {
+    throw std::invalid_argument("LossyCounter: epsilon must be in (0, 1), got " +
+                                std::to_string(epsilon));
+  }
   bucket_width_ = static_cast<std::uint64_t>(std::ceil(1.0 / epsilon));
 }
 
-void LossyCounter::add(std::uint64_t key) {
+bool LossyCounter::add(std::uint64_t key) {
   ++items_;
-  auto [it, fresh] = table_.try_emplace(key);
-  if (fresh) {
-    it->second.count = 1;
-    it->second.delta = current_bucket_ - 1;
+  Entry& entry = table_.find_or_insert(key);
+  if (entry.count == 0) {  // fresh: held entries always count >= 1
+    entry.count = 1;
+    entry.delta = current_bucket_ - 1;
   } else {
-    ++it->second.count;
+    ++entry.count;
   }
-  if (items_ % bucket_width_ == 0) {
-    prune();
-    ++current_bucket_;
-  }
+  if (items_ % bucket_width_ != 0) return false;
+  prune();
+  ++current_bucket_;
+  return true;
 }
 
 void LossyCounter::prune() {
-  for (auto it = table_.begin(); it != table_.end();) {
-    it = it->second.count + it->second.delta <= current_bucket_
-             ? table_.erase(it)
-             : std::next(it);
-  }
+  table_.retain([this](std::uint64_t, const Entry& entry) {
+    return entry.count + entry.delta > current_bucket_;
+  });
 }
 
 std::uint64_t LossyCounter::count(std::uint64_t key) const {
-  const auto it = table_.find(key);
-  return it == table_.end() ? 0 : it->second.count;
+  const Entry* entry = table_.find(key);
+  return entry == nullptr ? 0 : entry->count;
 }
 
 std::uint64_t LossyCounter::upper_bound(std::uint64_t key) const {
-  const auto it = table_.find(key);
-  return it == table_.end() ? current_bucket_ - 1
-                            : it->second.count + it->second.delta;
+  const Entry* entry = table_.find(key);
+  return entry == nullptr ? current_bucket_ - 1 : entry->count + entry->delta;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> LossyCounter::frequent(
@@ -49,11 +51,11 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> LossyCounter::frequent(
   std::vector<std::pair<std::uint64_t, std::uint64_t>> result;
   const double threshold =
       (support - epsilon_) * static_cast<double>(items_);
-  for (const auto& [key, entry] : table_) {
+  table_.for_each([&](std::uint64_t key, const Entry& entry) {
     if (static_cast<double>(entry.count) >= threshold) {
       result.emplace_back(key, entry.count);
     }
-  }
+  });
   return result;
 }
 

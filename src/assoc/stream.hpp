@@ -12,18 +12,22 @@
 // routing rules from a query stream it cannot store.
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "util/flat_map.hpp"
 
 namespace aar::assoc {
 
 class LossyCounter {
  public:
-  /// ε in (0, 1): the maximum undercount is ε·N after N items.
+  /// ε in (0, 1): the maximum undercount is ε·N after N items.  Throws
+  /// std::invalid_argument for any other ε (NaN included).
   explicit LossyCounter(double epsilon);
 
-  /// Process one stream item.
-  void add(std::uint64_t key);
+  /// Process one stream item.  Returns true when the item closed a bucket,
+  /// i.e. the table was just pruned and some estimates may have dropped.
+  bool add(std::uint64_t key);
 
   /// Current estimate for a key; 0 when the key was pruned or never seen.
   [[nodiscard]] std::uint64_t count(std::uint64_t key) const;
@@ -38,11 +42,19 @@ class LossyCounter {
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> frequent(
       double support) const;
 
+  /// Visit every held (key, estimate) entry, in unspecified order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    table_.for_each([&](std::uint64_t key, const Entry& entry) {
+      fn(key, entry.count);
+    });
+  }
+
   [[nodiscard]] std::uint64_t items_processed() const noexcept { return items_; }
   [[nodiscard]] std::size_t table_size() const noexcept { return table_.size(); }
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 
-  /// Forget everything (epoch rotation).
+  /// Forget everything (epoch rotation); the table's storage is kept.
   void clear();
 
  private:
@@ -57,7 +69,7 @@ class LossyCounter {
   std::uint64_t bucket_width_;   ///< ceil(1/ε)
   std::uint64_t current_bucket_ = 1;
   std::uint64_t items_ = 0;
-  std::unordered_map<std::uint64_t, Entry> table_;
+  util::FlatCountMap<std::uint64_t, Entry> table_;
 };
 
 }  // namespace aar::assoc

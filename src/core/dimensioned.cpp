@@ -22,38 +22,38 @@ DimensionedRuleSet DimensionedRuleSet::build(
   DimensionedRuleSet ruleset;
   for (const auto& [key_pair, count] : counts) {
     if (count < min_support) continue;
-    ruleset.rules_[key_pair.first].push_back(
-        Consequent{key_pair.second, count});
+    ruleset.rules_.find_or_insert(key_pair.first)
+        .push_back(Consequent{key_pair.second, count});
     ++ruleset.rule_count_;
   }
-  for (auto& [key, consequents] : ruleset.rules_) {
+  ruleset.rules_.for_each([](std::uint64_t, std::vector<Consequent>& consequents) {
     std::sort(consequents.begin(), consequents.end(),
               [](const Consequent& a, const Consequent& b) {
                 if (a.support != b.support) return a.support > b.support;
                 return a.neighbor < b.neighbor;
               });
-  }
+  });
   return ruleset;
 }
 
 bool DimensionedRuleSet::covers(HostId source, std::uint32_t dimension) const {
-  return rules_.contains(antecedent_key(source, dimension));
+  return rules_.find(antecedent_key(source, dimension)) != nullptr;
 }
 
 bool DimensionedRuleSet::matches(HostId source, std::uint32_t dimension,
                                  HostId consequent) const {
-  const auto it = rules_.find(antecedent_key(source, dimension));
-  if (it == rules_.end()) return false;
-  return std::any_of(
-      it->second.begin(), it->second.end(),
-      [consequent](const Consequent& c) { return c.neighbor == consequent; });
+  const auto all = consequents(source, dimension);
+  return std::any_of(all.begin(), all.end(), [consequent](const Consequent& c) {
+    return c.neighbor == consequent;
+  });
 }
 
 std::span<const Consequent> DimensionedRuleSet::consequents(
     HostId source, std::uint32_t dimension) const {
-  const auto it = rules_.find(antecedent_key(source, dimension));
-  if (it == rules_.end()) return {};
-  return it->second;
+  const std::vector<Consequent>* found =
+      rules_.find(antecedent_key(source, dimension));
+  if (found == nullptr) return {};
+  return *found;
 }
 
 std::vector<HostId> DimensionedRuleSet::top_k(HostId source,
@@ -71,26 +71,17 @@ std::vector<HostId> DimensionedRuleSet::top_k(HostId source,
 BlockMeasures evaluate_dimensioned(const DimensionedRuleSet& rules,
                                    std::span<const trace::QueryReplyPair> block,
                                    const DimensionFn& dimension_of) {
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
-  BlockMeasures measures;
-  for (const trace::QueryReplyPair& pair : block) {
-    const std::uint32_t dimension = dimension_of(pair.query);
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (rules.covers(pair.source_host, dimension)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        rules.matches(pair.source_host, dimension, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-  }
-  return measures;
+  GuidStates states;
+  return evaluate_block(
+      states, block,
+      [&](const trace::QueryReplyPair& pair, std::uint32_t) {
+        return rules.covers(pair.source_host, dimension_of(pair.query));
+      },
+      [&](const trace::QueryReplyPair& pair, std::uint32_t) {
+        return rules.matches(pair.source_host, dimension_of(pair.query),
+                             pair.replying_neighbor);
+      },
+      [](const trace::QueryReplyPair&) {});
 }
 
 }  // namespace aar::core

@@ -13,12 +13,12 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/measures.hpp"
 #include "core/ruleset.hpp"
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace aar::core {
 
@@ -62,7 +62,7 @@ class DimensionedRuleSet {
     return (static_cast<std::uint64_t>(source) << 32) | dimension;
   }
 
-  std::unordered_map<std::uint64_t, std::vector<Consequent>> rules_;
+  util::FlatCountMap<std::uint64_t, std::vector<Consequent>> rules_;
   std::size_t rule_count_ = 0;
 };
 

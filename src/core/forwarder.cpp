@@ -1,7 +1,7 @@
 #include "core/forwarder.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 namespace aar::core {
 
@@ -23,37 +23,25 @@ ForwardDecision Forwarder::decide(const RuleSet& rules, HostId source,
 BlockMeasures evaluate_forwarding(const RuleSet& rules,
                                   std::span<const QueryReplyPair> block,
                                   const Forwarder& forwarder, util::Rng& rng) {
-  // Per-GUID state, as in core::evaluate; additionally cache the forwarding
-  // decision per query so one choice is made per query, not per reply.
-  struct QueryState {
-    std::uint8_t flags = 0;  // bit 0 covered, bit 1 counted successful
-    std::vector<HostId> targets;
-  };
-  std::unordered_map<trace::Guid, QueryState> state;
-  state.reserve(block.size());
-
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid);
-    QueryState& qs = it->second;
-    if (fresh) {
-      ++measures.total_queries;
-      const ForwardDecision decision =
-          forwarder.decide(rules, pair.source_host, rng);
-      if (decision.rule_routed()) {
-        ++measures.covered;
-        qs.flags |= 1;
-        qs.targets = decision.targets;
-      }
-    }
-    if ((qs.flags & 1) && !(qs.flags & 2) &&
-        std::find(qs.targets.begin(), qs.targets.end(),
-                  pair.replying_neighbor) != qs.targets.end()) {
-      ++measures.successful;
-      qs.flags |= 2;
-    }
-  }
-  return measures;
+  // Cache the forwarding decision per query (by first-sight index), so one
+  // choice is made per query, not per reply.
+  GuidStates states;
+  std::vector<std::vector<HostId>> targets;
+  return evaluate_block(
+      states, block,
+      [&](const QueryReplyPair& pair, std::uint32_t query) {
+        ForwardDecision decision = forwarder.decide(rules, pair.source_host, rng);
+        if (!decision.rule_routed()) return false;
+        targets.resize(query + 1);
+        targets[query] = std::move(decision.targets);
+        return true;
+      },
+      [&](const QueryReplyPair& pair, std::uint32_t query) {
+        const std::vector<HostId>& sent = targets[query];
+        return std::find(sent.begin(), sent.end(), pair.replying_neighbor) !=
+               sent.end();
+      },
+      [](const QueryReplyPair&) {});
 }
 
 }  // namespace aar::core

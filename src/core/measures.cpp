@@ -1,32 +1,47 @@
 #include "core/measures.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace aar::core {
 
+void GuidStates::begin_block(std::size_t pairs) {
+  if (pairs > std::size_t{kMaxQuery} + 1) {
+    throw std::length_error("GuidStates: a block holds at most 2^30 pairs");
+  }
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(16, pairs + pairs / 2));
+  if (capacity > slots_.size()) {
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64u - static_cast<unsigned>(std::countr_zero(capacity));
+  }
+  if (++generation_ == 0) {  // wrapped: stale stamps could read as current
+    for (Slot& slot : slots_) slot.generation = 0;
+    generation_ = 1;
+  }
+  queries_ = 0;
+}
+
 BlockMeasures evaluate(const RuleSet& ruleset,
                        std::span<const QueryReplyPair> block) {
-  // Per-GUID state: bit 0 = covered, bit 1 = already counted successful.
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
+  GuidStates states;
+  return evaluate(ruleset, block, states);
+}
 
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (ruleset.covers(pair.source_host)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        ruleset.matches(pair.source_host, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-  }
-  return measures;
+BlockMeasures evaluate(const RuleSet& ruleset,
+                       std::span<const QueryReplyPair> block,
+                       GuidStates& states) {
+  return evaluate_block(
+      states, block,
+      [&](const QueryReplyPair& pair, std::uint32_t) {
+        return ruleset.covers(pair.source_host);
+      },
+      [&](const QueryReplyPair& pair, std::uint32_t) {
+        return ruleset.matches(pair.source_host, pair.replying_neighbor);
+      },
+      [](const QueryReplyPair&) {});
 }
 
 }  // namespace aar::core

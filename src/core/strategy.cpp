@@ -1,9 +1,10 @@
 #include "core/strategy.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/registry.hpp"
 
@@ -31,6 +32,9 @@ void Strategy::regenerate(Block block) {
 namespace {
 constexpr std::uint64_t pair_key(HostId source, HostId replier) noexcept {
   return (static_cast<std::uint64_t>(source) << 32) | replier;
+}
+constexpr HostId source_of(std::uint64_t key) noexcept {
+  return static_cast<HostId>(key >> 32);
 }
 /// Batch-decay stride, in pairs.  Counts are exact at sweep boundaries and at
 /// most one stride stale in between — negligible against block-scale dynamics.
@@ -80,7 +84,12 @@ IncrementalRuleset::IncrementalRuleset(std::uint32_t min_support,
                                        double half_life_pairs,
                                        double min_effective_support)
     : Strategy(min_support), min_effective_(min_effective_support) {
-  assert(half_life_pairs > 0.0);
+  // Negated so NaN fails too.
+  if (!(half_life_pairs > 0.0) || !std::isfinite(half_life_pairs)) {
+    throw std::invalid_argument(
+        "IncrementalRuleset: half_life_pairs must be positive and finite, got " +
+        std::to_string(half_life_pairs));
+  }
   decay_per_pair_ = std::exp2(-1.0 / half_life_pairs);
 }
 
@@ -92,71 +101,58 @@ void IncrementalRuleset::bootstrap(Block first_block) {
 void IncrementalRuleset::train(const QueryReplyPair& pair) {
   ++pairs_seen_;
   if (pairs_seen_ - pairs_at_last_decay_ >= kDecayStride) decay_all();
-  auto [it, fresh] =
-      counts_.try_emplace(pair_key(pair.source_host, pair.replying_neighbor), 0.0);
-  it->second += 1.0;
-  if (fresh) repliers_of_[pair.source_host].push_back(pair.replying_neighbor);
+  const std::size_t held = counts_.size();
+  double& count =
+      counts_.find_or_insert(pair_key(pair.source_host, pair.replying_neighbor));
+  const bool was_active = counts_.size() == held && count >= min_effective_;
+  count += 1.0;
+  if (!was_active && count >= min_effective_) {
+    ++active_of_.find_or_insert(pair.source_host);
+  }
 }
 
 void IncrementalRuleset::decay_all() {
   const double factor = std::pow(decay_per_pair_,
                                  static_cast<double>(pairs_seen_ - pairs_at_last_decay_));
   pairs_at_last_decay_ = pairs_seen_;
-  for (auto it = counts_.begin(); it != counts_.end();) {
-    it->second *= factor;
-    it = it->second < kDropEpsilon ? counts_.erase(it) : std::next(it);
-  }
-  // Rebuild the per-source index from the surviving pairs so departed hosts
-  // and dead rules do not accumulate.
-  repliers_of_.clear();
-  for (const auto& [key, count] : counts_) {
-    repliers_of_[static_cast<HostId>(key >> 32)].push_back(
-        static_cast<HostId>(key & 0xffffffffu));
-  }
+  // Decay, drop the dead, and recount the surviving active rules per source
+  // in one sweep, so departed hosts and dead rules do not accumulate.
+  active_of_.clear();
+  counts_.retain([&](std::uint64_t key, double& count) {
+    count *= factor;
+    if (count < kDropEpsilon) return false;
+    if (count >= min_effective_) ++active_of_.find_or_insert(source_of(key));
+    return true;
+  });
 }
 
 bool IncrementalRuleset::rule_active(HostId source, HostId replier) const {
-  const auto it = counts_.find(pair_key(source, replier));
-  return it != counts_.end() && it->second >= min_effective_;
+  const double* count = counts_.find(pair_key(source, replier));
+  return count != nullptr && *count >= min_effective_;
 }
 
 bool IncrementalRuleset::host_covered(HostId source) const {
-  const auto it = repliers_of_.find(source);
-  if (it == repliers_of_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](HostId replier) { return rule_active(source, replier); });
+  return active_of_.find(source) != nullptr;
 }
 
 std::size_t IncrementalRuleset::active_rules() const {
-  return static_cast<std::size_t>(
-      std::count_if(counts_.begin(), counts_.end(), [this](const auto& entry) {
-        return entry.second >= min_effective_;
-      }));
+  std::size_t rules = 0;
+  active_of_.for_each([&](HostId, std::uint32_t active) { rules += active; });
+  return rules;
 }
 
 BlockMeasures IncrementalRuleset::test_block(Block block) {
   // Prequential evaluation: each pair is tested against the rules as they
   // stood *before* it arrived, then used to update them.
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (host_covered(pair.source_host)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        rule_active(pair.source_host, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-    train(pair);
-  }
-  return measures;
+  return evaluate_block(
+      guid_states(), block,
+      [this](const QueryReplyPair& pair, std::uint32_t) {
+        return host_covered(pair.source_host);
+      },
+      [this](const QueryReplyPair& pair, std::uint32_t) {
+        return rule_active(pair.source_host, pair.replying_neighbor);
+      },
+      [this](const QueryReplyPair& pair) { train(pair); });
 }
 
 // --------------------------------------------------------------- streaming
@@ -169,7 +165,9 @@ StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
       epoch_pairs_(epoch_pairs),
       current_(epsilon),
       previous_(epsilon) {
-  assert(epoch_pairs_ > 0);
+  if (epoch_pairs_ == 0) {
+    throw std::invalid_argument("StreamingRuleset: epoch_pairs must be positive");
+  }
 }
 
 void StreamingRuleset::bootstrap(Block first_block) {
@@ -182,51 +180,50 @@ std::uint64_t StreamingRuleset::pair_count(HostId source, HostId replier) const 
 }
 
 bool StreamingRuleset::host_covered(HostId source) const {
-  const auto it = repliers_of_.find(source);
-  if (it == repliers_of_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](HostId replier) { return rule_active(source, replier); });
+  return active_of_.find(source) != nullptr;
+}
+
+void StreamingRuleset::recount_active() {
+  active_of_.clear();
+  current_.for_each([&](std::uint64_t key, std::uint64_t count) {
+    if (active(count + previous_.count(key))) {
+      ++active_of_.find_or_insert(source_of(key));
+    }
+  });
+  previous_.for_each([&](std::uint64_t key, std::uint64_t count) {
+    if (current_.count(key) == 0 && active(count)) {
+      ++active_of_.find_or_insert(source_of(key));
+    }
+  });
 }
 
 void StreamingRuleset::train(const QueryReplyPair& pair) {
   const std::uint64_t key = pair_key(pair.source_host, pair.replying_neighbor);
-  const bool fresh = current_.count(key) == 0 && previous_.count(key) == 0;
-  current_.add(key);
-  if (fresh) repliers_of_[pair.source_host].push_back(pair.replying_neighbor);
+  const std::uint64_t before = current_.count(key) + previous_.count(key);
+  bool recount = current_.add(key);  // a prune may have lowered counts
   if (++pairs_in_epoch_ >= epoch_pairs_) {
     pairs_in_epoch_ = 0;
     std::swap(current_, previous_);
     current_.clear();
-    // Rebuild the per-source index from what survived in `previous_`.
-    repliers_of_.clear();
-    for (const auto& [k, count] : previous_.frequent(0.0)) {
-      repliers_of_[static_cast<HostId>(k >> 32)].push_back(
-          static_cast<HostId>(k & 0xffffffffu));
-    }
+    recount = true;
+  }
+  if (recount) {
+    recount_active();
+  } else if (!active(before) && active(before + 1)) {
+    ++active_of_.find_or_insert(pair.source_host);
   }
 }
 
 BlockMeasures StreamingRuleset::test_block(Block block) {
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (host_covered(pair.source_host)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        rule_active(pair.source_host, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-    train(pair);
-  }
-  return measures;
+  return evaluate_block(
+      guid_states(), block,
+      [this](const QueryReplyPair& pair, std::uint32_t) {
+        return host_covered(pair.source_host);
+      },
+      [this](const QueryReplyPair& pair, std::uint32_t) {
+        return rule_active(pair.source_host, pair.replying_neighbor);
+      },
+      [this](const QueryReplyPair& pair) { train(pair); });
 }
 
 }  // namespace aar::core

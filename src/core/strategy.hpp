@@ -15,11 +15,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "assoc/stream.hpp"
 #include "core/measures.hpp"
 #include "core/ruleset.hpp"
 #include "mining/incremental_miner.hpp"
+#include "util/flat_map.hpp"
 
 namespace aar::core {
 
@@ -96,8 +98,12 @@ class Strategy {
   /// executor when present, serially otherwise.  Byte-identical either way.
   [[nodiscard]] BlockMeasures measure(Block block) {
     return executor_ != nullptr ? executor_->evaluate(current(), block)
-                                : evaluate(current(), block);
+                                : evaluate(current(), block, guid_states_);
   }
+
+  /// This strategy's GUID table, reused block after block by measure() and
+  /// by the prequential strategies' evaluate_block loops.
+  [[nodiscard]] GuidStates& guid_states() noexcept { return guid_states_; }
 
   /// The rule set from the most recent regenerate() (empty before the first).
   [[nodiscard]] const RuleSet& current() const noexcept {
@@ -106,6 +112,7 @@ class Strategy {
 
  private:
   mining::IncrementalRuleMiner miner_;
+  GuidStates guid_states_;
   BlockExecutor* executor_ = nullptr;
   std::uint64_t rulesets_generated_ = 0;
 };
@@ -198,7 +205,8 @@ class AdaptiveSlidingWindow final : public Strategy {
 /// consistently above 0.90 for this approach.
 class IncrementalRuleset final : public Strategy {
  public:
-  /// `half_life_pairs`: decayed count halves every this many pairs.
+  /// `half_life_pairs`: decayed count halves every this many pairs; throws
+  /// std::invalid_argument unless it is positive and finite.
   /// `min_effective_support`: decayed count needed for a rule to be active.
   IncrementalRuleset(std::uint32_t min_support, double half_life_pairs = 10'000.0,
                      double min_effective_support = 2.5);
@@ -219,11 +227,12 @@ class IncrementalRuleset final : public Strategy {
   double min_effective_;
   std::uint64_t pairs_seen_ = 0;
   std::uint64_t pairs_at_last_decay_ = 0;
-  // (source<<32 | replier) -> decayed count, plus a per-source index of the
-  // repliers seen for that source (kept small by the decay sweep) so the
-  // coverage test never scans the whole pair table.
-  std::unordered_map<std::uint64_t, double> counts_;
-  std::unordered_map<HostId, std::vector<HostId>> repliers_of_;
+  // (source<<32 | replier) -> decayed count, plus each source's number of
+  // active rules, so the coverage test is one lookup.  train() bumps a
+  // source when one of its counts crosses min_effective_; the decay sweep
+  // recounts them all.  Only sources with an active rule have an entry.
+  util::FlatCountMap<std::uint64_t, double> counts_;
+  util::FlatCountMap<HostId, std::uint32_t> active_of_;
 };
 
 /// Streaming variant built on Lossy Counting (Manku & Motwani) instead of
@@ -234,6 +243,8 @@ class IncrementalRuleset final : public Strategy {
 /// Prequential evaluation, like IncrementalRuleset.
 class StreamingRuleset final : public Strategy {
  public:
+  /// Throws std::invalid_argument for a zero `epoch_pairs` or an `epsilon`
+  /// outside (0, 1).
   StreamingRuleset(std::uint32_t min_support, double epsilon = 1e-3,
                    std::uint64_t epoch_pairs = 10'000,
                    double min_effective_support = 3.0);
@@ -250,19 +261,28 @@ class StreamingRuleset final : public Strategy {
  private:
   void train(const QueryReplyPair& pair);
   [[nodiscard]] std::uint64_t pair_count(HostId source, HostId replier) const;
+  /// A combined count makes a rule active when it reaches the (possibly
+  /// fractional) threshold, compared in double.
+  [[nodiscard]] bool active(std::uint64_t count) const {
+    return static_cast<double>(count) >= min_effective_;
+  }
   [[nodiscard]] bool rule_active(HostId source, HostId replier) const {
-    return pair_count(source, replier) >=
-           static_cast<std::uint64_t>(min_effective_);
+    return active(pair_count(source, replier));
   }
   [[nodiscard]] bool host_covered(HostId source) const;
+  void recount_active();
 
   double min_effective_;
   std::uint64_t epoch_pairs_;
   std::uint64_t pairs_in_epoch_ = 0;
   assoc::LossyCounter current_;
   assoc::LossyCounter previous_;
-  // Per-source replier index, rebuilt from the counters at epoch rotation.
-  std::unordered_map<HostId, std::vector<HostId>> repliers_of_;
+  // Each source's number of active rules, so the coverage test is one
+  // lookup.  train() bumps a source when a combined count crosses the
+  // threshold; a prune of current_ and the epoch rotation, which can lower
+  // counts, recount them all.  Only sources with an active rule have an
+  // entry.
+  util::FlatCountMap<HostId, std::uint32_t> active_of_;
 };
 
 }  // namespace aar::core

@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "core/ruleset.hpp"
-#include "mining/flat_map.hpp"
 #include "mining/spill.hpp"
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace aar::mining {
 
@@ -89,7 +89,7 @@ class PairRing {
 /// antecedent's total (the confidence denominator, which counts *all* of
 /// the source's pairs, pruned or not — exactly like RuleSet::build).
 struct AntecedentCounts {
-  FlatCountMap<std::uint32_t> consequents;
+  util::FlatCountMap<HostId, std::uint32_t> consequents;
   std::uint32_t total = 0;
   bool dirty = false;  ///< already queued in dirty_ for the next snapshot
   /// Miner op-clock value of the last count/uncount touching this
@@ -122,7 +122,7 @@ class ShardCounts {
 
  private:
   friend class IncrementalRuleMiner;
-  FlatCountMap<AntecedentCounts> counts_;
+  util::FlatCountMap<HostId, AntecedentCounts> counts_;
 };
 
 class IncrementalRuleMiner {
@@ -229,9 +229,10 @@ class IncrementalRuleMiner {
 
   MinerConfig config_;
   PairRing window_;
-  FlatCountMap<AntecedentCounts> counts_;
+  util::FlatCountMap<HostId, AntecedentCounts> counts_;
   SpillSink* spill_ = nullptr;
-  FlatCountMap<std::uint8_t> spilled_;  ///< antecedents living in the sink
+  /// Antecedents living in the sink.
+  util::FlatCountMap<HostId, std::uint8_t> spilled_;
   std::uint64_t op_clock_ = 0;          ///< drives AntecedentCounts::last_touch
   std::vector<std::pair<std::uint32_t, std::int64_t>> spill_scratch_;
   /// Antecedents queued for rebuild.  The in-struct `dirty` flag keeps the

@@ -31,6 +31,7 @@ struct ParMetrics {
 
 ShardExecutor::ShardExecutor(std::size_t threads, std::size_t shards)
     : shard_pairs_(std::max<std::size_t>(1, shards)),
+      shard_states_(shard_pairs_.size()),
       shard_counts_(shard_pairs_.size()),
       shard_measures_(shard_pairs_.size()),
       pool_(threads) {}
@@ -63,7 +64,8 @@ core::BlockMeasures ShardExecutor::evaluate(const core::RuleSet& rules,
   partition(block);
   for (std::size_t s = 0; s < shard_pairs_.size(); ++s) {
     pool_.submit([this, s, &rules] {
-      shard_measures_[s] = core::evaluate(rules, shard_pairs_[s]);
+      shard_measures_[s] =
+          core::evaluate(rules, shard_pairs_[s], shard_states_[s]);
     });
   }
   pool_.wait();

@@ -50,8 +50,8 @@ inline constexpr std::size_t kDefaultShards = 16;
 
 /// core::BlockExecutor over a worker pool.  One instance serves one replay
 /// (core::TraceSimulator::run_parallel attaches it for the run's duration);
-/// shard buffers are reused block to block, so steady state allocates
-/// nothing on the partition path.
+/// shard buffers and GUID tables are reused block to block, so steady state
+/// allocates nothing on the partition and evaluate paths.
 class ShardExecutor final : public core::BlockExecutor {
  public:
   /// threads == 0 means hardware_concurrency(); shards is clamped to >= 1.
@@ -77,6 +77,7 @@ class ShardExecutor final : public core::BlockExecutor {
   void partition(core::Block block);
 
   std::vector<std::vector<trace::QueryReplyPair>> shard_pairs_;
+  std::vector<core::GuidStates> shard_states_;  ///< one GUID table per shard
   std::vector<mining::ShardCounts> shard_counts_;
   std::vector<core::BlockMeasures> shard_measures_;
   util::ThreadPool pool_;  ///< last member: joins before shard state dies

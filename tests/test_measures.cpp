@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace aar::core {
@@ -173,6 +174,35 @@ TEST(Measures, EmptyRuleSetCoversNothing) {
   EXPECT_EQ(m.total_queries, 2u);
   EXPECT_EQ(m.covered, 0u);
   EXPECT_EQ(m.success(), 0.0);
+}
+
+TEST(Measures, ReusedGuidTableForgetsThePreviousBlock) {
+  // The same GUIDs in consecutive blocks are new queries in each: a shared
+  // table must give every block exactly what a fresh table gives, through
+  // growth (a 40-pair block after a 3-pair one) and back.
+  const RuleSet rules = rules_from({pair(1, 10, 100)});
+  const std::vector<QueryReplyPair> big = [] {
+    std::vector<QueryReplyPair> pairs;
+    for (trace::Guid g = 0; g < 40; ++g) {
+      pairs.push_back(pair(g % 20, 10, g % 3 == 0 ? 100 : 7));
+    }
+    return pairs;
+  }();
+  const std::vector<QueryReplyPair> small{pair(1, 10, 7), pair(1, 10, 100), pair(2, 55, 100)};
+  GuidStates states;
+  for (const auto* block : {&small, &big, &small, &big}) {
+    const BlockMeasures fresh = evaluate(rules, *block);
+    const BlockMeasures reused = evaluate(rules, *block, states);
+    EXPECT_EQ(reused.total_queries, fresh.total_queries);
+    EXPECT_EQ(reused.covered, fresh.covered);
+    EXPECT_EQ(reused.successful, fresh.successful);
+  }
+  EXPECT_EQ(evaluate(rules, small, states).successful, 1u);
+}
+
+TEST(Measures, GuidTableRejectsBlocksPastItsQueryIndex) {
+  GuidStates states;
+  EXPECT_THROW(states.begin_block((std::size_t{1} << 30) + 1), std::length_error);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace aar::core {
@@ -159,6 +161,28 @@ TEST(IncrementalRuleset, DecayRetiresStaleRules) {
   // re-accumulate min_effective support, so neither is covered.
   const BlockMeasures late = strategy.test_block(block_of(1, 100, 2, 100'000));
   EXPECT_DOUBLE_EQ(late.coverage(), 0.0);  // host 1's rules are gone
+}
+
+TEST(IncrementalRuleset, RejectsNonPositiveOrNonFiniteHalfLife) {
+  // Checked in every build type, not only under assertions.
+  for (const double half_life : {0.0, -10.0, std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(IncrementalRuleset(1, half_life), std::invalid_argument)
+        << half_life;
+  }
+  EXPECT_NO_THROW(IncrementalRuleset(1, 1e-3));
+}
+
+TEST(IncrementalRuleset, ActiveRulesTrackThresholdCrossingsAndDecay) {
+  IncrementalRuleset strategy(1, /*half_life_pairs=*/1'000.0, 3.0);
+  strategy.bootstrap(block_of(1, 100, 2, 0));
+  EXPECT_EQ(strategy.active_rules(), 0u);  // 2 < 3
+  strategy.bootstrap(block_of(1, 100, 1, 10));
+  strategy.bootstrap(block_of(1, 200, 3, 20));
+  EXPECT_EQ(strategy.active_rules(), 2u);
+  // 3,000 pairs of another host: three sweeps each halve the old counts.
+  strategy.bootstrap(block_of(2, 300, 3'000, 100));
+  EXPECT_EQ(strategy.active_rules(), 1u);  // host 2's rule only
 }
 
 TEST(IncrementalRuleset, NoMinedRulesetsCounted) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "assoc/stream.hpp"
 #include "core/strategy.hpp"
@@ -96,6 +99,28 @@ TEST(LossyCounter, ClearResets) {
   EXPECT_EQ(counter.table_size(), 0u);
 }
 
+TEST(LossyCounter, RejectsEpsilonOutsideTheOpenUnitInterval) {
+  // Checked in every build type: ε = 0 would cast an infinite bucket width
+  // to an integer.
+  for (const double epsilon : {0.0, 1.0, -0.1, 1.5,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(assoc::LossyCounter{epsilon}, std::invalid_argument) << epsilon;
+  }
+  EXPECT_NO_THROW(assoc::LossyCounter{0.5});
+}
+
+TEST(LossyCounter, AddReportsThePruneAtEachBucketEnd) {
+  assoc::LossyCounter counter(0.25);  // bucket width 4
+  EXPECT_FALSE(counter.add(1));
+  EXPECT_FALSE(counter.add(2));
+  EXPECT_FALSE(counter.add(1));
+  EXPECT_TRUE(counter.add(3));  // 4th item closes bucket 1 and prunes 2, 3
+  EXPECT_EQ(counter.count(1), 2u);
+  EXPECT_EQ(counter.count(2), 0u);
+  EXPECT_EQ(counter.table_size(), 1u);
+}
+
 // --- StreamingRuleset -------------------------------------------------------------
 
 std::vector<trace::QueryReplyPair> block_of(core::HostId source,
@@ -117,6 +142,26 @@ TEST(StreamingRuleset, LearnsAndCovers) {
   const core::BlockMeasures m = strategy.test_block(block_of(1, 100, 50, 1'000));
   EXPECT_DOUBLE_EQ(m.coverage(), 1.0);
   EXPECT_DOUBLE_EQ(m.success(), 1.0);
+}
+
+TEST(StreamingRuleset, FractionalThresholdIsComparedInDouble) {
+  // Threshold 2.5: a pair seen twice must not be a rule yet (truncating the
+  // threshold to an integer activated it at count 2).
+  core::StreamingRuleset strategy(1, 1e-3, 10'000, 2.5);
+  strategy.bootstrap(block_of(1, 100, 2, 0));
+  const core::BlockMeasures twice = strategy.test_block(block_of(1, 100, 1, 1'000));
+  EXPECT_EQ(twice.total_queries, 1u);
+  EXPECT_EQ(twice.covered, 0u);
+  // That test pair trained the third sighting: now 3 >= 2.5.
+  const core::BlockMeasures thrice = strategy.test_block(block_of(1, 100, 1, 2'000));
+  EXPECT_EQ(thrice.covered, 1u);
+  EXPECT_EQ(thrice.successful, 1u);
+}
+
+TEST(StreamingRuleset, RejectsZeroEpochAndBadEpsilon) {
+  EXPECT_THROW(core::StreamingRuleset(10, 1e-3, 0), std::invalid_argument);
+  EXPECT_THROW(core::StreamingRuleset(10, 0.0), std::invalid_argument);
+  EXPECT_NO_THROW(core::StreamingRuleset(10, 1e-3, 1));
 }
 
 TEST(StreamingRuleset, EpochRotationForgetsTheStalePast) {

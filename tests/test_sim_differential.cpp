@@ -115,8 +115,18 @@ Capture capture_engine(const fault::Scenario& scenario, bool faulted,
   return capture;
 }
 
-class SimDifferential
-    : public ::testing::TestWithParam<std::pair<const char*, bool>> {};
+struct PolicyCase {
+  const char* policy;
+  bool faulted;
+};
+
+// Prints the policy name rather than the literal's address, so the
+// discovered test names are the same on every build.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  *os << c.policy << (c.faulted ? ", faulted" : ", lossless");
+}
+
+class SimDifferential : public ::testing::TestWithParam<PolicyCase> {};
 
 TEST_P(SimDifferential, EngineMatchesLegacyForAllThreadCounts) {
   const auto [policy, faulted] = GetParam();
@@ -149,10 +159,10 @@ TEST_P(SimDifferential, EngineMatchesLegacyForAllThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, SimDifferential,
-    ::testing::Values(std::make_pair("association", false),
-                      std::make_pair("association", true),
-                      std::make_pair("flooding", false),
-                      std::make_pair("flooding", true)));
+    ::testing::Values(PolicyCase{"association", false},
+                      PolicyCase{"association", true},
+                      PolicyCase{"flooding", false},
+                      PolicyCase{"flooding", true}));
 
 TEST(SimDifferentialShards, ShardCountNeverChangesOutcomes) {
   const fault::Scenario scenario = faulted_scenario("association");

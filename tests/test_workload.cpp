@@ -8,9 +8,18 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 namespace aar::workload {
+
+// gtest prints a shared_ptr parameter with its address, which would put a
+// per-run address into the discovered ChurnMeanSweep test names; print the
+// declared mean instead. Found by ADL, so it lives beside ChurnModel.
+void PrintTo(const std::shared_ptr<ChurnModel>& model, std::ostream* os) {
+  *os << "mean lifetime " << model->mean_lifetime();
+}
+
 namespace {
 
 // --- InterestProfile ---------------------------------------------------------

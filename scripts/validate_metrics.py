@@ -98,7 +98,7 @@ SIM_ENGINE_COUNTERS = {
     "sim.engine.events",
     "sim.engine.churned",
 }
-SIM_ENGINE_TIMERS = {"sim.engine.build"}
+SIM_ENGINE_TIMERS = {"sim.engine.build", "sim.engine.route", "sim.engine.apply"}
 
 # The node.* family (docs/NODE.md) is likewise closed: aar_node's daemon
 # emits exactly these names from its stats delta-sync.

@@ -5,8 +5,8 @@
 //
 //   * QueryEvent — one query message in flight during a propagation pass.
 //     The engine's virtual-time rounds deliver these in the canonical
-//     (time, seq) order, which is exactly the pop order of the legacy
-//     overlay::Network priority queue — the invariant behind the
+//     (time, send order) order, which is exactly the pop order of the
+//     legacy overlay::Network priority queue — the invariant behind the
 //     fingerprint-equality the compat driver proves.
 //   * SimEvent — one macro step on the search clock (a search launch or a
 //     churn epoch).  The scale driver compiles a workload into a SimEvent
@@ -23,11 +23,11 @@ namespace aar::sim {
 
 using overlay::NodeId;
 
-/// A query message scheduled for delivery at a virtual-time slot.  `seq` is
-/// the global send order assigned by the serial apply phase; (slot, seq)
-/// totally orders every message of a pass.
+/// A query message scheduled for delivery at a virtual-time slot.  Its
+/// place in the pass's total order is (slot, push order): the serial apply
+/// phase pushes events in canonical order and the slot's push-order log
+/// (SlotOrder) records which shard received each one.
 struct QueryEvent {
-  std::uint64_t seq = 0;
   NodeId node = overlay::kNoNode;  ///< recipient
   NodeId from = overlay::kNoNode;  ///< sender (== node at the origin)
   std::uint32_t depth = 0;
@@ -36,42 +36,39 @@ struct QueryEvent {
 
 /// What the parallel (pure per-peer) half of a round computed for one event:
 /// which flags fired and where the routed targets sit in the owning shard's
-/// emission buffer.  The serial apply phase consumes these in seq order.
+/// emission buffer.  Results sit at the same index as their event in the
+/// shard's slot; the serial apply phase consumes them in push order.
 struct EventResult {
   static constexpr std::uint8_t kFirstVisit = 1u << 0;
   static constexpr std::uint8_t kHit = 1u << 1;       ///< answered store hit
   static constexpr std::uint8_t kDirected = 1u << 2;  ///< selection was policy-directed
   static constexpr std::uint8_t kRouted = 1u << 3;    ///< reached the route stage
 
-  std::uint64_t seq = 0;
   std::uint32_t emit_offset = 0;  ///< into the shard's emission buffer
   std::uint32_t emit_count = 0;
-  NodeId node = overlay::kNoNode;
-  std::uint32_t depth = 0;
-  std::uint32_t ttl = 0;
   std::uint8_t flags = 0;
 };
 
-/// Per-shard event queue keyed on virtual time: a calendar of slots indexed
-/// by pass-relative arrival stamp.  The serial apply phase appends events in
-/// global seq order, so every slot is seq-sorted by construction and the
-/// parallel phase scans its shard's slot without sorting or locking.  Slot
-/// vectors keep their capacity across passes.
-class ShardQueue {
+/// A calendar of slots indexed by pass-relative arrival stamp, one vector
+/// per slot.  The serial apply phase appends in canonical order, so every
+/// slot is in push order by construction and is scanned without sorting or
+/// locking.  Slot vectors keep their capacity across passes.
+template <typename T>
+class Calendar {
  public:
   /// Grow the calendar to cover stamps [0, slots).  Never shrinks.
   void ensure(std::size_t slots) {
     if (slots_.size() < slots) slots_.resize(slots);
   }
 
-  void push(std::uint64_t slot, const QueryEvent& event) {
-    slots_[static_cast<std::size_t>(slot)].push_back(event);
+  void push(std::uint64_t slot, const T& item) {
+    slots_[static_cast<std::size_t>(slot)].push_back(item);
   }
 
-  [[nodiscard]] std::vector<QueryEvent>& at(std::uint64_t slot) {
+  [[nodiscard]] std::vector<T>& at(std::uint64_t slot) {
     return slots_[static_cast<std::size_t>(slot)];
   }
-  [[nodiscard]] const std::vector<QueryEvent>& at(std::uint64_t slot) const {
+  [[nodiscard]] const std::vector<T>& at(std::uint64_t slot) const {
     return slots_[static_cast<std::size_t>(slot)];
   }
 
@@ -80,8 +77,16 @@ class ShardQueue {
   }
 
  private:
-  std::vector<std::vector<QueryEvent>> slots_;
+  std::vector<std::vector<T>> slots_;
 };
+
+/// Per-shard event queue keyed on virtual time.
+using ShardQueue = Calendar<QueryEvent>;
+
+/// Per-slot push-order log: the shard index of every event pushed into the
+/// slot, in push order.  Walking it with one cursor per shard replays the
+/// slot's events in canonical order.
+using SlotOrder = Calendar<std::uint32_t>;
 
 /// Macro-level typed event on the search clock.
 enum class SimEventKind : std::uint8_t {

@@ -83,6 +83,31 @@ TEST(CliScale, StrictFlagValidation) {
   EXPECT_EQ(run_sim("scale --nodes 100 --epochs 0"), 2);
 }
 
+TEST(CliScale, MalformedNumbersAreUsageErrors) {
+  // Each value used to run anyway: strtol/strtod read a prefix or
+  // nothing, so "abc" ran lossless, 1.5 dropped every message, "300x" ran
+  // 300 peers, and -3 died allocating a huge vector.
+  EXPECT_EQ(run_sim("scale --nodes 300 --drop abc"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --drop 1.5"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --drop -0.1"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --drop nan"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300x"), 2);
+  EXPECT_EQ(run_sim("scale --nodes -3"), 2);
+  EXPECT_EQ(run_sim("scale --nodes ''"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --threads 2.5"), 2);
+  EXPECT_EQ(run_sim("run --strategy sliding --blocks 3x"), 2);
+  EXPECT_EQ(run_sim("rules --blocks 3 --min-confidence 2"), 2);
+}
+
+TEST(CliScale, BoundaryNumbersAreAccepted) {
+  EXPECT_EQ(run_sim("scale --nodes 300 --warmup 0 --searches 20 --epochs 1 "
+                    "--churn 0 --drop 1"),
+            0);
+  EXPECT_EQ(run_sim("scale --nodes 300 --warmup 0 --searches 20 --epochs 1 "
+                    "--drop 0.05"),
+            0);
+}
+
 TEST(CliScale, SmallPopulationRunSucceeds) {
   EXPECT_EQ(run_sim("scale --nodes 300 --warmup 10 --searches 30 --epochs 2 "
                     "--churn 3 --threads 2 --shards 8"),

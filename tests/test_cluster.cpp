@@ -278,6 +278,10 @@ TEST(NodeCluster, ThreeNodesRouteHitsAcrossProcessesAndPurgeDeadPeer) {
   // only purge that can empty it is a peer death.  Queries enter A and
   // hits enter C on persistent raw connections; A mines (ingress conn ->
   // C's link) pairs and publishes rules whose consequent is C's link.
+  // The queries carry TTL 2: A relays them with TTL 1, which B records but
+  // never relays onward, so C always hears a query straight from A and
+  // every hit returns over C's link (with a longer TTL, C sometimes heard
+  // a query first via B and the hits came back over B's link instead).
   std::vector<Fd> query_conns;
   std::vector<Fd> hit_conns;
   for (int i = 0; i < 2; ++i) {
@@ -295,7 +299,7 @@ TEST(NodeCluster, ThreeNodesRouteHitsAcrossProcessesAndPurgeDeadPeer) {
                     static_cast<unsigned>(i % 8));
       send_all(query_conns[conn],
                gnutella::serialize(gnutella::make_query(
-                   gnutella::make_wire_guid(guid + i), 4, 0, name)));
+                   gnutella::make_wire_guid(guid + i), 2, 0, name)));
       drain_fds(query_conns);
       drain_fds(hit_conns);
       // Give the query time to flood A -> C and seed C's route table
@@ -321,18 +325,24 @@ TEST(NodeCluster, ThreeNodesRouteHitsAcrossProcessesAndPurgeDeadPeer) {
   // but pongs stop, so only the missed-pong budget can declare the links
   // dead.  The purge must drop C's consequents from A's published rules
   // while A's ingress sockets are still connected.
+  // The first missed pong only starts the budget: the link is declared
+  // dead, and purged, one ping interval later, so each node is polled.
+  const auto await_purge = [&](std::uint16_t admin, std::uint64_t link) {
+    const auto purge_deadline = Clock::now() + 20s;
+    while (Clock::now() < purge_deadline) {
+      drain_fds(query_conns);
+      if (!has_consequent(admin_request(admin, "rules"), link)) return true;
+      std::this_thread::sleep_for(20ms);
+    }
+    return false;
+  };
   node_c.freeze();
   ASSERT_TRUE(await_stat(node_a.admin(), "node.peer.missed", 1));
-  const auto purge_deadline = Clock::now() + 20s;
-  bool purged = false;
-  while (!purged && Clock::now() < purge_deadline) {
-    drain_fds(query_conns);
-    purged =
-        !has_consequent(admin_request(node_a.admin(), "rules"), c_link_on_a);
-    if (!purged) std::this_thread::sleep_for(20ms);
-  }
-  EXPECT_TRUE(purged) << admin_request(node_a.admin(), "rules");
+  EXPECT_TRUE(await_purge(node_a.admin(), c_link_on_a))
+      << admin_request(node_a.admin(), "rules");
   EXPECT_TRUE(await_stat(node_b.admin(), "node.peer.missed", 1));
+  EXPECT_TRUE(await_purge(node_b.admin(), c_link_on_b))
+      << admin_request(node_b.admin(), "rules");
   EXPECT_FALSE(
       has_consequent(admin_request(node_b.admin(), "rules"), c_link_on_b));
 

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,13 @@ struct FlushCase {
   int fire_at;
   bool durable_after;  ///< crash lands after the manifest install
 };
+
+// Prints the kill point rather than the literal's address, so the
+// discovered test names are the same on every build.
+void PrintTo(const FlushCase& c, std::ostream* os) {
+  *os << c.point << " #" << c.fire_at
+      << (c.durable_after ? " durable" : " rolled back");
+}
 
 class LsmKillPointFlush : public ::testing::TestWithParam<FlushCase> {};
 

@@ -57,13 +57,14 @@
 // malformed flags, which are rejected rather than silently ignored.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -90,6 +91,12 @@ namespace {
 
 using namespace aar;
 
+/// A flag value that does not parse: a usage error (exit 2), like an unknown
+/// flag.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Options {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -100,13 +107,39 @@ struct Options {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  [[nodiscard]] long num(const std::string& key, long fallback) const {
+  /// A count: the whole value must be a non-negative decimal integer.
+  [[nodiscard]] std::uint64_t num(const std::string& key,
+                                  std::uint64_t fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::strtol(it->second.c_str(),
-                                                      nullptr, 10);
+    if (it == flags.end()) return fallback;
+    std::uint64_t value = 0;
+    if (!parse_all(it->second, value)) {
+      throw UsageError("--" + key + " needs a non-negative integer, got '" +
+                       it->second + "'");
+    }
+    return value;
+  }
+  /// A probability or share: the whole value must be a number in [0, 1].
+  [[nodiscard]] double fraction(const std::string& key, double fallback) const {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    double value = 0.0;
+    if (!parse_all(it->second, value) || !(value >= 0.0 && value <= 1.0)) {
+      throw UsageError("--" + key + " needs a number in [0, 1], got '" +
+                       it->second + "'");
+    }
+    return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return flags.contains(key);
+  }
+
+ private:
+  template <typename T>
+  static bool parse_all(const std::string& text, T& value) {
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    return error == std::errc{} && stop == end;
   }
 };
 
@@ -526,8 +559,7 @@ int cmd_rules(const Options& options) {
   const auto window = static_cast<std::size_t>(options.num("window", 10'000));
   const auto min_support =
       static_cast<std::uint32_t>(options.num("min-support", 10));
-  const double min_confidence =
-      std::strtod(options.get("min-confidence", "0").c_str(), nullptr);
+  const double min_confidence = options.fraction("min-confidence", 0.0);
   const auto top = static_cast<std::size_t>(options.num("top", 0));
 
   // Mine the most recent --window pairs (0 = the whole trace) through the
@@ -702,7 +734,7 @@ int cmd_scale(const Options& options) {
   config.churn = static_cast<std::size_t>(options.num("churn", 50));
   config.timeout = static_cast<std::uint32_t>(options.num("timeout", 0));
   config.retries = static_cast<std::uint32_t>(options.num("retries", 0));
-  config.drop = std::strtod(options.get("drop", "0").c_str(), nullptr);
+  config.drop = options.fraction("drop", 0.0);
   config.crashed = static_cast<std::size_t>(options.num("crashed", 0));
   config.threads = static_cast<std::size_t>(options.num("threads", 1));
   config.shards = static_cast<std::size_t>(options.num("shards", 0));
@@ -779,6 +811,9 @@ int main(int argc, char** argv) {
     if (options.command == "rules") return cmd_rules(options);
     if (options.command == "faults") return cmd_faults(options);
     if (options.command == "scale") return cmd_scale(options);
+  } catch (const UsageError& error) {
+    std::cerr << "aar_sim: " << error.what() << "\n";
+    return usage();
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -12,16 +12,17 @@
 
 #include "bench_common.hpp"
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
 #include "overlay/hybrid.hpp"
 #include "overlay/routing_indices.hpp"
 #include "overlay/shortcuts.hpp"
+#include "sim/experiment.hpp"
 #include "util/csv.hpp"
 
 int main() {
   aar::bench::PerfRecord perf("n1_overlay_traffic");
   using namespace aar;
   using namespace aar::overlay;
+  using namespace aar::sim;
   bench::print_header("N1", "per-query traffic by routing policy (2,000 nodes)");
 
   ExperimentConfig config;
@@ -34,32 +35,32 @@ int main() {
   std::vector<TrafficStats> results;
 
   {
-    Network net = make_network(
+    Engine net = make_network(
         config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
     results.push_back(run_experiment("flooding (TTL 7)", net, config));
   }
   {
     auto ring = config;
     ring.options.mode = SearchMode::kExpandingRing;
-    Network net = make_network(
+    Engine net = make_network(
         ring, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
     results.push_back(run_experiment("expanding ring", net, ring));
   }
   {
     auto walk = config;
     walk.options.ttl = 512;
-    Network net = make_network(
+    Engine net = make_network(
         walk, [](NodeId) { return std::make_unique<KRandomWalkPolicy>(32); });
     results.push_back(run_experiment("32-random walks", net, walk));
   }
   {
-    Network net = make_network(config, [](NodeId) {
+    Engine net = make_network(config, [](NodeId) {
       return std::make_unique<InterestShortcutsPolicy>();
     });
     results.push_back(run_experiment("interest shortcuts", net, config));
   }
   {
-    Network net = make_network(
+    Engine net = make_network(
         config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
     auto table = std::make_shared<RoutingIndexTable>(
         net.graph(), local_document_counts(net), 4, 0.5);
@@ -70,7 +71,7 @@ int main() {
     results.push_back(run_experiment("routing indices", net, config));
   }
   {
-    Network net = make_network(config, [](NodeId) {
+    Engine net = make_network(config, [](NodeId) {
       return std::make_unique<AssociationRoutingPolicy>();
     });
     results.push_back(run_experiment("association (this paper)", net, config));
@@ -78,7 +79,7 @@ int main() {
   {
     // Section VI combination: shortcuts first, rules as the "last chance
     // to avoid flooding".
-    Network net = make_network(config, [](NodeId) {
+    Engine net = make_network(config, [](NodeId) {
       return std::make_unique<HybridShortcutsAssociationPolicy>();
     });
     results.push_back(run_experiment("shortcuts+association (SVI)", net, config));

@@ -11,13 +11,14 @@
 
 #include "bench_common.hpp"
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
+#include "sim/experiment.hpp"
 #include "util/csv.hpp"
 
 int main() {
   aar::bench::PerfRecord perf("n2_adoption");
   using namespace aar;
   using namespace aar::overlay;
+  using namespace aar::sim;
   bench::print_header("N2", "traffic vs fraction of adopting nodes (§III-B)");
 
   ExperimentConfig config;
@@ -31,7 +32,7 @@ int main() {
   for (const double fraction : fractions) {
     // Deterministic adoption assignment, independent of the sweep order.
     util::Rng assign(config.seed + 1'000);
-    Network net = make_network(
+    Engine net = make_network(
         config,
         [fraction, &assign](NodeId) -> std::unique_ptr<RoutingPolicy> {
           if (assign.chance(fraction)) {

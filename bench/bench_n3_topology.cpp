@@ -12,14 +12,14 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "overlay/adaptation.hpp"
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
+#include "sim/experiment.hpp"
 
 int main() {
   aar::bench::PerfRecord perf("n3_topology");
   using namespace aar;
   using namespace aar::overlay;
+  using namespace aar::sim;
   bench::print_header("N3", "rule-driven topology adaptation (§VI)");
 
   ExperimentConfig config;
@@ -28,7 +28,7 @@ int main() {
   config.warmup_queries = 4'000;
   config.measure_queries = 4'000;
 
-  Network net = make_network(config, [](NodeId) {
+  Engine net = make_network(config, [](NodeId) {
     return std::make_unique<AssociationRoutingPolicy>();
   });
 

@@ -10,8 +10,8 @@
 
 #include "bench_common.hpp"
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
 #include "overlay/superpeer.hpp"
+#include "sim/experiment.hpp"
 #include "util/csv.hpp"
 
 namespace {
@@ -59,6 +59,7 @@ int main() {
   aar::bench::PerfRecord perf("n4_superpeer");
   using namespace aar;
   using namespace aar::overlay;
+  using namespace aar::sim;
   bench::print_header("N4", "super-peer network vs flat policies (§II, [14])");
 
   // Same scale as N1's flat network: 2,000 peers.
@@ -74,10 +75,10 @@ int main() {
   flat.nodes = 2'000;
   flat.warmup_queries = 4'000;
   flat.measure_queries = kQueries;
-  Network flood_net = make_network(
+  Engine flood_net = make_network(
       flat, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
   const TrafficStats flooding = run_experiment("flooding", flood_net, flat);
-  Network assoc_net = make_network(flat, [](NodeId) {
+  Engine assoc_net = make_network(flat, [](NodeId) {
     return std::make_unique<AssociationRoutingPolicy>();
   });
   const TrafficStats assoc = run_experiment("association", assoc_net, flat);

@@ -17,7 +17,8 @@
 
 #include "bench_common.hpp"
 #include "dht/chord.hpp"
-#include "overlay/experiment.hpp"
+#include "overlay/topology.hpp"
+#include "sim/experiment.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -45,17 +46,17 @@ int main() {
     }
   }
 
-  overlay::ExperimentConfig flat;
+  sim::ExperimentConfig flat;
   flat.seed = 37;
   flat.nodes = kNodes;
   flat.warmup_queries = 2'000;
   flat.measure_queries = 2'000;
-  overlay::Network flood_net = overlay::make_network(
+  sim::Engine flood_net = sim::make_network(
       flat, [](overlay::NodeId) {
         return std::make_unique<overlay::FloodingPolicy>();
       });
-  const overlay::TrafficStats flooding =
-      overlay::run_experiment("flooding", flood_net, flat);
+  const sim::TrafficStats flooding =
+      sim::run_experiment("flooding", flood_net, flat);
 
   util::Table efficiency({"system", "success", "msgs/query", "hops"});
   efficiency.row({"Chord (exact keys)",

@@ -14,15 +14,16 @@
 
 #include "bench_common.hpp"
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
 #include "overlay/fault_experiment.hpp"
 #include "overlay/routing_indices.hpp"
+#include "sim/experiment.hpp"
 #include "util/csv.hpp"
 
 namespace {
 
 using namespace aar;
 using namespace aar::overlay;
+using namespace aar::sim;
 
 struct ChurnRun {
   std::vector<double> success;   ///< per epoch
@@ -30,7 +31,7 @@ struct ChurnRun {
 };
 
 /// Run `epochs` alternating (churn, measure) rounds.
-ChurnRun run_with_churn(Network& network, std::size_t epochs,
+ChurnRun run_with_churn(Engine& network, std::size_t epochs,
                         std::size_t queries_per_epoch, std::size_t churn_count,
                         util::Rng& rng) {
   ChurnRun run;
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
   const std::size_t kWarmup = smoke ? 800 : 3'000;
 
   // Association routing: learns continuously.
-  Network assoc_net = make_network(config, [](NodeId) {
+  Engine assoc_net = make_network(config, [](NodeId) {
     return std::make_unique<AssociationRoutingPolicy>();
   });
   util::Rng assoc_rng(config.seed + 2);
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
                                         kChurnPerEpoch, assoc_rng);
 
   // Routing indices: table built once over the initial content placement.
-  Network ri_net = make_network(
+  Engine ri_net = make_network(
       config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
   auto table = std::make_shared<RoutingIndexTable>(
       ri_net.graph(), local_document_counts(ri_net), 4, 0.5);
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   }
 
   // Flooding under identical churn: the structure-free control.
-  Network flood_net = make_network(
+  Engine flood_net = make_network(
       config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
   util::Rng flood_rng(config.seed + 2);
   run_queries(flood_net, kWarmup, {}, flood_rng, nullptr);

@@ -20,7 +20,7 @@
 #include "core/measures.hpp"
 #include "core/strategy.hpp"
 #include "mining/incremental_miner.hpp"
-#include "overlay/experiment.hpp"
+#include "sim/experiment.hpp"
 #include "trace/generator.hpp"
 
 namespace {
@@ -190,9 +190,9 @@ void BM_AprioriMine(benchmark::State& state) {
 BENCHMARK(BM_AprioriMine);
 
 void BM_OverlayFloodQuery(benchmark::State& state) {
-  overlay::ExperimentConfig config;
+  sim::ExperimentConfig config;
   config.nodes = 1'000;
-  overlay::Network net = overlay::make_network(config, [](overlay::NodeId) {
+  sim::Engine net = sim::make_network(config, [](overlay::NodeId) {
     return std::make_unique<overlay::FloodingPolicy>();
   });
   util::Rng rng(7);

@@ -13,12 +13,13 @@
 #include <memory>
 
 #include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
+#include "sim/experiment.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace aar;
   using namespace aar::overlay;
+  using namespace aar::sim;
   ExperimentConfig config;
   config.seed = 99;
   config.nodes = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1'000;
@@ -32,12 +33,12 @@ int main(int argc, char** argv) {
                "interest-clustered stores)...\n";
 
   // Baseline: everyone floods.
-  Network flood_net = make_network(
+  Engine flood_net = make_network(
       config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
   const TrafficStats flooding = run_experiment("flooding", flood_net, config);
 
   // Treatment: everyone mines association rules from the replies they relay.
-  Network assoc_net = make_network(config, [](NodeId) {
+  Engine assoc_net = make_network(config, [](NodeId) {
     return std::make_unique<AssociationRoutingPolicy>();
   });
   const TrafficStats assoc = run_experiment("association", assoc_net, config);

@@ -21,8 +21,8 @@
 //                       injected fault into the fault.* obs metrics.
 //
 // FaultPlan::none() with an empty schedule injects nothing and draws
-// nothing: overlay::Network with such an injector is bit-for-bit identical
-// to a Network with no injector at all (enforced by differential tests).
+// nothing: sim::Engine with such an injector is bit-for-bit identical to an
+// engine with no injector at all (enforced by differential tests).
 
 #include <cstdint>
 #include <string>
@@ -132,7 +132,7 @@ class FaultInjector {
                 std::uint64_t fault_seed, std::size_t nodes);
 
   /// Advance the search clock and apply every scheduled event with
-  /// `at <= clock`.  Called by Network::search once per search.
+  /// `at <= clock`.  Called by sim::Engine::search once per search.
   void begin_search(std::uint64_t clock);
 
   /// Fault verdict for a query forward `from -> to`.

@@ -5,7 +5,6 @@
 
 #include "overlay/assoc_policy.hpp"
 #include "overlay/shortcuts.hpp"
-#include "overlay/topology.hpp"
 
 namespace aar::overlay {
 
@@ -66,71 +65,6 @@ PolicyFactory scenario_policy_factory(const std::string& name) {
     return [](NodeId) { return std::make_unique<AssociationRoutingPolicy>(); };
   }
   throw std::runtime_error("unknown scenario policy: " + name);
-}
-
-FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
-                                  std::uint64_t seed, bool faulted) {
-  const PolicyFactory factory = scenario_policy_factory(scenario.policy);
-
-  // Seeding mirrors make_network / run_experiment exactly: topology from
-  // `seed`, the network's workload rng from `seed + 1`, the query driver
-  // from `seed + 2`.  The fault rng is split from `seed` inside the
-  // injector, so the faulted and lossless runs share topology, stores, and
-  // the query stream bit for bit.
-  util::Rng topo_rng(seed);
-  Graph graph = make_barabasi_albert(scenario.nodes, scenario.attach, topo_rng);
-  NetworkConfig net_config;
-  net_config.seed = seed + 1;
-  Network network(net_config, std::move(graph), factory);
-  if (faulted) {
-    network.install_faults(std::make_unique<fault::FaultInjector>(
-        scenario.plan, scenario.schedule, seed, scenario.nodes));
-  }
-
-  SearchOptions options;
-  options.ttl = scenario.ttl;
-  options.timeout_stamps = scenario.timeout;
-  options.max_retries = scenario.retries;
-  options.backoff_base = scenario.backoff;
-  options.backoff_jitter = scenario.jitter;
-  options.widen_per_retry = scenario.widen;
-
-  util::Rng driver(seed + 2);
-  run_queries(network, scenario.warmup, options, driver, nullptr);
-
-  FaultRunResult result;
-  result.epochs.reserve(scenario.epochs);
-  for (std::size_t epoch = 0; epoch < scenario.epochs; ++epoch) {
-    FaultEpochStats stats;
-    for (std::size_t q = 0; q < scenario.queries; ++q) {
-      // Same draw order as run_queries so warm-up and measurement are one
-      // continuous stream over the driver rng.
-      const auto origin = static_cast<NodeId>(driver.below(network.num_nodes()));
-      workload::FileId target = network.sample_target(origin);
-      for (int attempt = 0;
-           attempt < 8 && network.peer(origin).store.has(target); ++attempt) {
-        target = network.sample_target(origin);
-      }
-      const SearchOutcome outcome = network.search(origin, target, options);
-      ++stats.searches;
-      if (outcome.hit) ++stats.hits;
-      if (outcome.timed_out) ++stats.timeouts;
-      if (outcome.degraded_to_flood) ++stats.degraded_floods;
-      stats.retries += outcome.retries_used;
-      stats.dropped += outcome.dropped_messages;
-      stats.messages += outcome.total_messages();
-      stats.nodes_reached += outcome.nodes_reached;
-      append_outcome(result.outcome_bytes, outcome);
-    }
-    result.searches += stats.searches;
-    result.hits += stats.hits;
-    result.epochs.push_back(stats);
-    if (epoch + 1 < scenario.epochs && scenario.churn > 0) {
-      network.churn(scenario.churn, scenario.attach);
-    }
-  }
-  result.outcome_hash = fnv1a(result.outcome_bytes);
-  return result;
 }
 
 }  // namespace aar::overlay

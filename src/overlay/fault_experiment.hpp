@@ -1,19 +1,17 @@
 #pragma once
-// Scenario-driven fault experiment runner: builds a network from a
-// fault::Scenario, installs the injector, and drives an epoch-structured
-// interest workload (warm-up, then `epochs` measured epochs with optional
-// churn between them).  Every run is a pure function of (scenario, seed):
-// the same pair reproduces the same SearchOutcome stream byte for byte,
-// which is what the seeded-replay goldens and the CI determinism gate
-// check.  Shared by `aar_sim faults`, bench_n6's fault grid, and the
-// fault test suite.
+// Results and outcome fingerprints of fault experiments.  The runner
+// itself, sim::run_fault_scenario (sim/experiment.hpp), builds an engine
+// from a fault::Scenario and drives an epoch-structured interest workload;
+// every run is a pure function of (scenario, seed), and the canonical
+// SearchOutcome encoding and its FNV-1a fingerprint defined here are what
+// the seeded-replay goldens and the CI determinism gate compare.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "fault/scenario.hpp"
-#include "overlay/experiment.hpp"
+#include "overlay/policy.hpp"
+#include "overlay/search.hpp"
 
 namespace aar::overlay {
 
@@ -66,13 +64,5 @@ void append_outcome(std::vector<std::uint8_t>& out, const SearchOutcome& o);
 /// Policy factory for a scenario `policy` name: "flooding", "shortcuts",
 /// or "association" (throws std::runtime_error otherwise).
 [[nodiscard]] PolicyFactory scenario_policy_factory(const std::string& name);
-
-/// Run `scenario` to completion from `seed`.  `faulted = false` strips the
-/// injector entirely (the lossless baseline the degradation table and the
-/// zero-fault differential compare against) while keeping topology,
-/// stores, and the query stream identical.
-[[nodiscard]] FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
-                                                std::uint64_t seed,
-                                                bool faulted = true);
 
 }  // namespace aar::overlay

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "overlay/network.hpp"
-
 namespace aar::overlay {
 
 RoutingIndexTable::RoutingIndexTable(
@@ -46,18 +44,6 @@ RoutingIndexTable::RoutingIndexTable(
       }
     }
   }
-}
-
-std::vector<std::vector<double>> local_document_counts(const Network& network) {
-  const std::size_t categories = network.catalogue().categories();
-  std::vector<std::vector<double>> docs(network.num_nodes(),
-                                        std::vector<double>(categories, 0.0));
-  for (NodeId node = 0; node < network.num_nodes(); ++node) {
-    for (workload::FileId file : network.peer(node).store.files()) {
-      docs[node][network.catalogue().category_of(file)] += 1.0;
-    }
-  }
-  return docs;
 }
 
 bool RoutingIndicesPolicy::route(const Query& query, NodeId self, NodeId from,

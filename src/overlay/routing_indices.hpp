@@ -19,14 +19,13 @@
 
 namespace aar::overlay {
 
-class Network;  // for the builder below
-
 /// The shared table: index[node][neighbor_slot][category] = discounted
 /// document-count estimate through that neighbor.
 class RoutingIndexTable {
  public:
-  /// `docs[node][category]`: local document counts.  `horizon` exchange
-  /// rounds with per-hop `decay` (< 1).
+  /// `docs[node][category]`: local document counts (built from an engine's
+  /// stores by sim::local_document_counts).  `horizon` exchange rounds with
+  /// per-hop `decay` (< 1).
   RoutingIndexTable(const Graph& graph,
                     const std::vector<std::vector<double>>& docs,
                     std::size_t horizon, double decay);
@@ -44,12 +43,6 @@ class RoutingIndexTable {
   // index_[node] is a flat (neighbor_slot x category) matrix.
   std::vector<std::vector<double>> index_;
 };
-
-/// Build the per-node per-category local document counts from a network's
-/// peer stores (declared here, defined in routing_indices.cpp to avoid a
-/// header cycle with network.hpp).
-[[nodiscard]] std::vector<std::vector<double>> local_document_counts(
-    const Network& network);
 
 struct RoutingIndicesConfig {
   std::size_t fan_out = 2;   ///< neighbors with the best goodness to use

@@ -5,9 +5,8 @@
 //
 //   * QueryEvent — one query message in flight during a propagation pass.
 //     The engine's virtual-time rounds deliver these in the canonical
-//     (time, send order) order, which is exactly the pop order of the
-//     legacy overlay::Network priority queue — the invariant behind the
-//     fingerprint-equality the compat driver proves.
+//     (time, send order) order: arrival stamp first, then the order the
+//     messages were sent in.
 //   * SimEvent — one macro step on the search clock (a search launch or a
 //     churn epoch).  The scale driver compiles a workload into a SimEvent
 //     schedule and replays it; fault-schedule events stay inside

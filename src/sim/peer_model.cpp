@@ -1,23 +1,13 @@
 #include "sim/peer_model.hpp"
 
-#include "util/rng.hpp"
-
 namespace aar::sim {
 
 PolicyPeerModel::PolicyPeerModel(std::size_t peers,
                                  const overlay::PolicyFactory& factory)
     : factory_(factory) {
-  policies_.reserve(peers);
+  policies_.resize(peers);
   for (std::size_t node = 0; node < peers; ++node) {
-    policies_.push_back(factory_(static_cast<NodeId>(node)));
-    if (policies_.back() == nullptr) {
-      throw std::invalid_argument("PolicyPeerModel: factory returned null");
-    }
-    if (policies_.back()->allows_revisit()) {
-      throw std::invalid_argument(
-          "sim::Engine requires duplicate-suppressed policies; revisit-style "
-          "policies (k-random-walk) need the legacy overlay::Network");
-    }
+    set_policy(static_cast<NodeId>(node), factory_(static_cast<NodeId>(node)));
   }
 }
 
@@ -25,17 +15,22 @@ std::string PolicyPeerModel::name() const {
   return policies_.empty() ? std::string{"empty"} : policies_.front()->name();
 }
 
+void PolicyPeerModel::set_policy(NodeId node,
+                                 std::unique_ptr<overlay::RoutingPolicy> policy) {
+  if (policy == nullptr) {
+    throw std::invalid_argument("PolicyPeerModel: null policy");
+  }
+  if (policies_[node] != nullptr && policies_[node]->allows_revisit()) {
+    --revisiting_;
+  }
+  if (policy->allows_revisit()) ++revisiting_;
+  policies_[node] = std::move(policy);
+}
+
 bool PolicyPeerModel::route(const overlay::Query& query, NodeId self,
                             NodeId from, std::span<const NodeId> neighbors,
-                            std::vector<NodeId>& out) {
-  // The engine's parallel phase owns no shared rng.  The policies the engine
-  // supports (flooding, shortcuts, association/top-k) never draw, but the
-  // RoutingPolicy signature demands a stream — hand each call a throwaway
-  // split from (guid, self) so any draw stays deterministic and per-peer.
-  std::uint64_t state =
-      query.guid ^ ((std::uint64_t{self} + 1) * 0x9e3779b97f4a7c15ULL);
-  util::Rng scratch(util::splitmix64(state));
-  return policies_[self]->route(query, self, from, neighbors, scratch, out);
+                            util::Rng& rng, std::vector<NodeId>& out) {
+  return policies_[self]->route(query, self, from, neighbors, rng, out);
 }
 
 void PolicyPeerModel::on_reply_path(const overlay::Query& query, NodeId self,
@@ -57,16 +52,10 @@ bool PolicyPeerModel::wants_flood_fallback(NodeId origin) const {
   return policies_[origin]->wants_flood_fallback();
 }
 
-void PolicyPeerModel::reset_peer(NodeId node) {
-  policies_[node] = factory_(node);
-  if (policies_[node] == nullptr) {
-    throw std::invalid_argument("PolicyPeerModel: factory returned null");
-  }
-}
+void PolicyPeerModel::reset_peer(NodeId node) { set_policy(node, factory_(node)); }
 
 void PolicyPeerModel::on_peer_departed(NodeId departed) {
-  // Mirrors overlay::Network::replace_peer: every OTHER peer purges its
-  // learned state naming the departed NodeId.
+  // Every OTHER peer purges its learned state naming the departed NodeId.
   for (std::size_t other = 0; other < policies_.size(); ++other) {
     if (static_cast<NodeId>(other) != departed) {
       policies_[other]->on_peer_departed(departed);

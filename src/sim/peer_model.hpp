@@ -5,16 +5,16 @@
 // behavioural decision goes through a PeerModel.  The contract splits along
 // the engine's two phases:
 //
-//   * route() runs in the PARALLEL phase — it may be called concurrently for
-//     distinct peers, must be deterministic, and must touch only state owned
-//     by `self`.
+//   * route() runs in the PARALLEL phase of a duplicate-suppressed pass — it
+//     may be called concurrently for distinct peers, must be deterministic,
+//     and must touch only state owned by `self` (its rng is a per-call
+//     stream).  While any peer revisits (any_revisits()), passes route in
+//     the serial apply phase instead, drawing from the engine's shared rng.
 //   * every other hook runs in the SERIAL apply phase, in the canonical
 //     event order, and may mutate cross-peer state freely.
 //
-// PolicyPeerModel adapts the existing overlay::RoutingPolicy zoo (flooding,
-// interest shortcuts, association routing) unchanged.  Policies that revisit
-// nodes (k-random-walk) draw from the shared rng mid-propagation and are
-// rejected: they need the legacy overlay::Network.
+// PolicyPeerModel adapts the overlay::RoutingPolicy zoo (flooding, k-random
+// walks, interest shortcuts, routing indices, association routing) unchanged.
 
 #include <memory>
 #include <span>
@@ -24,6 +24,7 @@
 
 #include "overlay/graph.hpp"
 #include "overlay/policy.hpp"
+#include "util/rng.hpp"
 
 namespace aar::sim {
 
@@ -37,11 +38,20 @@ class PeerModel {
 
   /// Choose forwarding targets for `query` arriving at `self` from `from`.
   /// Returns true when the selection was policy-directed.  Called
-  /// concurrently for distinct peers; must be deterministic and touch only
-  /// per-`self` state.
+  /// concurrently for distinct peers in duplicate-suppressed passes; must be
+  /// deterministic and touch only per-`self` state and `rng`.
   virtual bool route(const overlay::Query& query, NodeId self, NodeId from,
-                     std::span<const NodeId> neighbors,
+                     std::span<const NodeId> neighbors, util::Rng& rng,
                      std::vector<NodeId>& out) = 0;
+
+  /// Does `node` forward duplicates of a query it has already seen?
+  [[nodiscard]] virtual bool revisits(NodeId node) const {
+    (void)node;
+    return false;
+  }
+  /// Does any peer revisit?  Decides, once per pass, whether the pass
+  /// routes in the serial apply phase.
+  [[nodiscard]] virtual bool any_revisits() const { return false; }
 
   // --- serial-phase hooks (never called concurrently) ---------------------
 
@@ -77,9 +87,9 @@ class PeerModel {
   virtual void on_peer_departed(NodeId departed) = 0;
 };
 
-/// Adapter running one overlay::RoutingPolicy per peer, created by the same
-/// PolicyFactory the legacy Network uses.  Throws std::invalid_argument if
-/// the factory produces a null or revisit-allowing policy.
+/// Adapter running one overlay::RoutingPolicy per peer, created by a
+/// PolicyFactory.  Throws std::invalid_argument if the factory produces a
+/// null policy.
 class PolicyPeerModel final : public PeerModel {
  public:
   PolicyPeerModel(std::size_t peers, const overlay::PolicyFactory& factory);
@@ -87,8 +97,12 @@ class PolicyPeerModel final : public PeerModel {
   [[nodiscard]] std::string name() const override;
 
   bool route(const overlay::Query& query, NodeId self, NodeId from,
-             std::span<const NodeId> neighbors,
+             std::span<const NodeId> neighbors, util::Rng& rng,
              std::vector<NodeId>& out) override;
+  [[nodiscard]] bool revisits(NodeId node) const override {
+    return policies_[node]->allows_revisit();
+  }
+  [[nodiscard]] bool any_revisits() const override { return revisiting_ > 0; }
 
   void on_reply_path(const overlay::Query& query, NodeId self, NodeId upstream,
                      NodeId downstream) override;
@@ -100,14 +114,18 @@ class PolicyPeerModel final : public PeerModel {
   void reset_peer(NodeId node) override;
   void on_peer_departed(NodeId departed) override;
 
-  /// The per-peer policy (tests: RuleSet byte comparisons).
+  /// The per-peer policy.
   [[nodiscard]] overlay::RoutingPolicy& policy(NodeId node) {
     return *policies_[node];
   }
+  /// Replace a peer's policy (adoption sweeps, A/B tests).  Throws
+  /// std::invalid_argument on null.
+  void set_policy(NodeId node, std::unique_ptr<overlay::RoutingPolicy> policy);
 
  private:
   overlay::PolicyFactory factory_;
   std::vector<std::unique_ptr<overlay::RoutingPolicy>> policies_;
+  std::size_t revisiting_ = 0;  ///< peers whose policy allows_revisit()
 };
 
 }  // namespace aar::sim

@@ -6,6 +6,7 @@
 
 #include "overlay/fault_experiment.hpp"
 #include "overlay/topology.hpp"
+#include "sim/experiment.hpp"
 
 namespace aar::sim {
 
@@ -80,15 +81,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
 
   util::Rng driver(config.seed + 2);
   const auto one_search = [&](bool measured) {
-    const auto origin =
-        static_cast<overlay::NodeId>(driver.below(engine.num_nodes()));
-    workload::FileId target = engine.sample_target(origin);
-    for (int attempt = 0; attempt < 8 && engine.store_has(origin, target);
-         ++attempt) {
-      target = engine.sample_target(origin);
-    }
-    const overlay::SearchOutcome outcome =
-        engine.search(origin, target, options);
+    const overlay::SearchOutcome outcome = issue_query(engine, options, driver);
     if (!measured) return;
     ++result.searches;
     if (outcome.hit) ++result.hits;

@@ -1,15 +1,24 @@
 // Integration tests over the full overlay stack: network construction,
-// warm-up, measurement, and the paper's headline traffic claim.
+// warm-up, measurement, and the paper's headline traffic claim.  Every
+// experiment runs at one and at four threads; the statistics must match
+// exactly.
 
-#include "overlay/assoc_policy.hpp"
-#include "overlay/experiment.hpp"
+#include "sim/experiment.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-namespace aar::overlay {
+#include "overlay/assoc_policy.hpp"
+
+namespace aar::sim {
 namespace {
+
+using overlay::AssociationRoutingPolicy;
+using overlay::FloodingPolicy;
+using overlay::KRandomWalkPolicy;
+using overlay::PolicyFactory;
+using overlay::RoutingPolicy;
 
 ExperimentConfig small_experiment() {
   ExperimentConfig config;
@@ -18,29 +27,50 @@ ExperimentConfig small_experiment() {
   config.attach = 3;
   config.warmup_queries = 1'200;
   config.measure_queries = 1'200;
-  config.network.files_per_node = 16;
-  config.network.content.files = 4'000;
-  config.network.content.categories = 32;
+  config.engine.files_per_node = 16;
+  config.engine.content.files = 4'000;
+  config.engine.content.categories = 32;
   return config;
+}
+
+/// run_experiment on fresh networks at one and at four threads.
+TrafficStats experiment(const std::string& label, ExperimentConfig config,
+                        const PolicyFactory& factory) {
+  config.engine.threads = 1;
+  Engine serial = make_network(config, factory);
+  const TrafficStats stats = run_experiment(label, serial, config);
+  config.engine.threads = 4;
+  Engine parallel = make_network(config, factory);
+  const TrafficStats other = run_experiment(label, parallel, config);
+  EXPECT_EQ(other.queries, stats.queries) << label;
+  EXPECT_EQ(other.hits, stats.hits) << label;
+  EXPECT_EQ(other.fallbacks, stats.fallbacks) << label;
+  EXPECT_EQ(other.rule_routed, stats.rule_routed) << label;
+  EXPECT_EQ(other.total_messages.mean(), stats.total_messages.mean()) << label;
+  EXPECT_EQ(other.query_messages.mean(), stats.query_messages.mean()) << label;
+  EXPECT_EQ(other.nodes_reached.mean(), stats.nodes_reached.mean()) << label;
+  EXPECT_EQ(other.hops.mean(), stats.hops.mean()) << label;
+  return stats;
+}
+
+PolicyFactory flooding() {
+  return [](overlay::NodeId) { return std::make_unique<FloodingPolicy>(); };
 }
 
 TEST(Experiment, NetworkConstructionIsSound) {
   const auto config = small_experiment();
-  Network net = make_network(
-      config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
+  const Engine net = make_network(config, flooding());
   EXPECT_EQ(net.num_nodes(), config.nodes);
   EXPECT_TRUE(net.graph().is_connected());
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    EXPECT_GT(net.peer(n).store.size(), 0u);
-    EXPECT_EQ(net.peer(n).profile.breadth(), config.network.interest_breadth);
+    EXPECT_GT(net.store_size(n), 0u);
+    EXPECT_EQ(net.profile(n).breadth(), config.engine.interest_breadth);
   }
 }
 
 TEST(Experiment, StatsAreInternallyConsistent) {
   const auto config = small_experiment();
-  Network net = make_network(
-      config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
-  const TrafficStats stats = run_experiment("flooding", net, config);
+  const TrafficStats stats = experiment("flooding", config, flooding());
   EXPECT_EQ(stats.queries, config.measure_queries);
   EXPECT_LE(stats.hits, stats.queries);
   EXPECT_GE(stats.success_rate(), 0.0);
@@ -54,9 +84,7 @@ TEST(Experiment, StatsAreInternallyConsistent) {
 
 TEST(Experiment, FloodingFindsMostContent) {
   const auto config = small_experiment();
-  Network net = make_network(
-      config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
-  const TrafficStats stats = run_experiment("flooding", net, config);
+  const TrafficStats stats = experiment("flooding", config, flooding());
   // TTL 7 over a 400-node BA graph reaches everyone; only queries for
   // content with zero replicas miss.
   EXPECT_GT(stats.success_rate(), 0.7);
@@ -67,19 +95,16 @@ TEST(Experiment, FloodingFindsMostContent) {
 // keeping result quality, because flooding remains the fallback.
 TEST(Experiment, AssociationRoutingBeatsFloodingOnTraffic) {
   const auto config = small_experiment();
-  Network flood_net = make_network(
-      config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
-  const TrafficStats flooding = run_experiment("flooding", flood_net, config);
-
-  Network assoc_net = make_network(config, [](NodeId) {
-    return std::make_unique<AssociationRoutingPolicy>();
-  });
-  const TrafficStats assoc = run_experiment("association", assoc_net, config);
+  const TrafficStats flood = experiment("flooding", config, flooding());
+  const TrafficStats assoc =
+      experiment("association", config, [](overlay::NodeId) {
+        return std::make_unique<AssociationRoutingPolicy>();
+      });
 
   // At least 25% query-traffic reduction on this workload...
-  EXPECT_LT(assoc.query_messages.mean(), 0.75 * flooding.query_messages.mean());
+  EXPECT_LT(assoc.query_messages.mean(), 0.75 * flood.query_messages.mean());
   // ...with success within 3 points of flooding (fallback catches misses).
-  EXPECT_GT(assoc.success_rate(), flooding.success_rate() - 0.03);
+  EXPECT_GT(assoc.success_rate(), flood.success_rate() - 0.03);
   // And rules actually fire.
   EXPECT_GT(assoc.rule_routed_rate(), 0.05);
 }
@@ -88,42 +113,35 @@ TEST(Experiment, PartialAdoptionStillHelps) {
   const auto config = small_experiment();
   // 50% of nodes adopt association routing, the rest flood (the paper's
   // incremental-deployment story, Section III-B).
-  Network mixed = make_network(config, [](NodeId node) -> std::unique_ptr<RoutingPolicy> {
-    if (node % 2 == 0) return std::make_unique<AssociationRoutingPolicy>();
-    return std::make_unique<FloodingPolicy>();
-  });
-  const TrafficStats mixed_stats = run_experiment("mixed", mixed, config);
+  const TrafficStats mixed = experiment(
+      "mixed", config,
+      [](overlay::NodeId node) -> std::unique_ptr<RoutingPolicy> {
+        if (node % 2 == 0) return std::make_unique<AssociationRoutingPolicy>();
+        return std::make_unique<FloodingPolicy>();
+      });
+  const TrafficStats flood = experiment("flooding", config, flooding());
 
-  Network flood_net = make_network(
-      config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
-  const TrafficStats flooding = run_experiment("flooding", flood_net, config);
-
-  EXPECT_LT(mixed_stats.query_messages.mean(), flooding.query_messages.mean());
-  EXPECT_GT(mixed_stats.success_rate(), flooding.success_rate() - 0.05);
+  EXPECT_LT(mixed.query_messages.mean(), flood.query_messages.mean());
+  EXPECT_GT(mixed.success_rate(), flood.success_rate() - 0.05);
 }
 
 TEST(Experiment, WalksTradeMessagesForLatency) {
   auto config = small_experiment();
   config.options.ttl = 256;
-  Network walk_net = make_network(
-      config, [](NodeId) { return std::make_unique<KRandomWalkPolicy>(16); });
-  const TrafficStats walks = run_experiment("k-rw", walk_net, config);
+  const TrafficStats walks = experiment("k-rw", config, [](overlay::NodeId) {
+    return std::make_unique<KRandomWalkPolicy>(16);
+  });
+  const TrafficStats flood =
+      experiment("flooding", small_experiment(), flooding());
 
-  auto flood_config = small_experiment();
-  Network flood_net = make_network(
-      flood_config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
-  const TrafficStats flooding =
-      run_experiment("flooding", flood_net, flood_config);
-
-  EXPECT_LT(walks.query_messages.mean(), flooding.query_messages.mean());
-  EXPECT_GT(walks.hops.mean(), flooding.hops.mean());
+  EXPECT_LT(walks.query_messages.mean(), flood.query_messages.mean());
+  EXPECT_GT(walks.hops.mean(), flood.hops.mean());
 }
 
 TEST(Experiment, DeterministicGivenSeed) {
   const auto config = small_experiment();
   auto run_once = [&config] {
-    Network net = make_network(
-        config, [](NodeId) { return std::make_unique<FloodingPolicy>(); });
+    Engine net = make_network(config, flooding());
     return run_experiment("flooding", net, config);
   };
   const TrafficStats a = run_once();
@@ -133,4 +151,4 @@ TEST(Experiment, DeterministicGivenSeed) {
 }
 
 }  // namespace
-}  // namespace aar::overlay
+}  // namespace aar::sim

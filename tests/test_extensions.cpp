@@ -7,9 +7,9 @@
 
 #include "core/dimensioned.hpp"
 #include "core/ruleset.hpp"
-#include "overlay/adaptation.hpp"
 #include "overlay/assoc_policy.hpp"
 #include "overlay/topology.hpp"
+#include "sim/experiment.hpp"
 
 namespace aar {
 namespace {
@@ -164,7 +164,7 @@ TEST(DimensionedRules, EmptyIsEmpty) {
 
 // --- topology adaptation -------------------------------------------------------
 
-overlay::AssociationRoutingPolicy* teach(overlay::Network& net,
+overlay::AssociationRoutingPolicy* teach(sim::Engine& net,
                                          overlay::NodeId node,
                                          overlay::NodeId upstream,
                                          overlay::NodeId downstream) {
@@ -179,8 +179,8 @@ overlay::AssociationRoutingPolicy* teach(overlay::Network& net,
   return policy;
 }
 
-overlay::NetworkConfig tiny_net_config() {
-  overlay::NetworkConfig config;
+sim::EngineConfig tiny_net_config() {
+  sim::EngineConfig config;
   config.seed = 5;
   config.files_per_node = 4;
   config.content.files = 100;
@@ -195,7 +195,7 @@ TEST(TopologyAdaptation, AddsTheThirdNodeShortcut) {
   line.add_edge(0, 1);
   line.add_edge(1, 2);
   line.add_edge(2, 3);
-  overlay::Network net(tiny_net_config(), std::move(line), [](overlay::NodeId) {
+  sim::Engine net(tiny_net_config(), std::move(line), [](overlay::NodeId) {
     return std::make_unique<overlay::AssociationRoutingPolicy>(
         overlay::AssociationPolicyConfig{.rebuild_every = 4, .min_support = 2});
   });
@@ -203,7 +203,7 @@ TEST(TopologyAdaptation, AddsTheThirdNodeShortcut) {
   teach(net, 1, 0, 2);  // queries from 0 -> neighbor 2
 
   ASSERT_FALSE(net.graph().has_edge(0, 2));
-  const overlay::AdaptationReport report = overlay::adapt_topology(net);
+  const sim::AdaptationReport report = sim::adapt_topology(net);
   EXPECT_EQ(report.adopters, 4u);
   EXPECT_GE(report.asked, 1u);
   EXPECT_EQ(report.edges_added, 1u);
@@ -215,17 +215,14 @@ TEST(TopologyAdaptation, ExistingLinksAreCountedNotDuplicated) {
   triangle.add_edge(0, 1);
   triangle.add_edge(1, 2);
   triangle.add_edge(0, 2);
-  overlay::Network net(tiny_net_config(), std::move(triangle),
-                       [](overlay::NodeId) {
-                         return std::make_unique<
-                             overlay::AssociationRoutingPolicy>(
-                             overlay::AssociationPolicyConfig{
-                                 .rebuild_every = 4, .min_support = 2});
-                       });
+  sim::Engine net(tiny_net_config(), std::move(triangle), [](overlay::NodeId) {
+    return std::make_unique<overlay::AssociationRoutingPolicy>(
+        overlay::AssociationPolicyConfig{.rebuild_every = 4, .min_support = 2});
+  });
   teach(net, 0, 0, 1);
   teach(net, 1, 0, 2);
   const std::size_t edges_before = net.graph().num_edges();
-  const overlay::AdaptationReport report = overlay::adapt_topology(net);
+  const sim::AdaptationReport report = sim::adapt_topology(net);
   EXPECT_EQ(report.edges_added, 0u);
   EXPECT_EQ(report.already_linked, 1u);
   EXPECT_EQ(net.graph().num_edges(), edges_before);
@@ -235,10 +232,10 @@ TEST(TopologyAdaptation, NonAdoptersAreSkipped) {
   overlay::Graph line(3);
   line.add_edge(0, 1);
   line.add_edge(1, 2);
-  overlay::Network net(tiny_net_config(), std::move(line), [](overlay::NodeId) {
+  sim::Engine net(tiny_net_config(), std::move(line), [](overlay::NodeId) {
     return std::make_unique<overlay::FloodingPolicy>();
   });
-  const overlay::AdaptationReport report = overlay::adapt_topology(net);
+  const sim::AdaptationReport report = sim::adapt_topology(net);
   EXPECT_EQ(report.adopters, 0u);
   EXPECT_EQ(report.edges_added, 0u);
 }
@@ -251,7 +248,7 @@ TEST(TopologyAdaptation, RespectsPerNodeCap) {
   g.add_edge(0, 2);
   g.add_edge(1, 3);
   g.add_edge(2, 4);
-  overlay::Network net(tiny_net_config(), std::move(g), [](overlay::NodeId) {
+  sim::Engine net(tiny_net_config(), std::move(g), [](overlay::NodeId) {
     return std::make_unique<overlay::AssociationRoutingPolicy>(
         overlay::AssociationPolicyConfig{.rebuild_every = 4, .min_support = 2});
   });
@@ -259,8 +256,8 @@ TEST(TopologyAdaptation, RespectsPerNodeCap) {
   teach(net, 0, 0, 2);
   teach(net, 1, 0, 3);
   teach(net, 2, 0, 4);
-  const overlay::AdaptationReport report =
-      overlay::adapt_topology(net, /*max_new_links_per_node=*/1);
+  const sim::AdaptationReport report =
+      sim::adapt_topology(net, /*max_new_links_per_node=*/1);
   EXPECT_EQ(report.edges_added, 1u);
 }
 

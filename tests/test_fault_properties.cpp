@@ -11,15 +11,18 @@
 #include "mining/incremental_miner.hpp"
 #include "overlay/assoc_policy.hpp"
 #include "overlay/fault_experiment.hpp"
-#include "overlay/network.hpp"
 #include "overlay/shortcuts.hpp"
 #include "overlay/topology.hpp"
+#include "sim/experiment.hpp"
 
 namespace aar::overlay {
 namespace {
 
-NetworkConfig small_config(std::uint64_t seed) {
-  NetworkConfig config;
+using sim::Engine;
+using sim::EngineConfig;
+
+EngineConfig small_config(std::uint64_t seed) {
+  EngineConfig config;
   config.seed = seed;
   config.files_per_node = 8;
   config.content.files = 400;
@@ -27,11 +30,11 @@ NetworkConfig small_config(std::uint64_t seed) {
   return config;
 }
 
-Network make_ba_network(std::size_t nodes, std::uint64_t seed,
-                        const PolicyFactory& factory) {
+Engine make_ba_network(std::size_t nodes, std::uint64_t seed,
+                       const PolicyFactory& factory) {
   util::Rng rng(seed);
   Graph graph = make_barabasi_albert(nodes, 3, rng);
-  return Network(small_config(seed + 1), std::move(graph), factory);
+  return Engine(small_config(seed + 1), std::move(graph), factory);
 }
 
 PolicyFactory flooding_factory() {
@@ -43,7 +46,7 @@ PolicyFactory association_factory() {
 }
 
 TEST(FaultProperties, RetryBudgetAndBackoffInvariants) {
-  Network net = make_ba_network(120, 5, association_factory());
+  Engine net = make_ba_network(120, 5, association_factory());
   fault::FaultPlan plan;
   plan.drop = 0.2;
   plan.max_delay = 2;
@@ -90,7 +93,7 @@ TEST(FaultProperties, RetryBudgetAndBackoffInvariants) {
 }
 
 TEST(FaultProperties, TimedOutImpliesMissEvenUnderTinyBudgets) {
-  Network net = make_ba_network(120, 6, flooding_factory());
+  Engine net = make_ba_network(120, 6, flooding_factory());
   fault::FaultPlan plan;
   plan.max_delay = 6;  // delays make tiny budgets bite
   net.install_faults(
@@ -117,7 +120,7 @@ TEST(FaultProperties, TimedOutImpliesMissEvenUnderTinyBudgets) {
 }
 
 TEST(FaultProperties, CrashedOriginSearchesNothing) {
-  Network net = make_ba_network(60, 8, flooding_factory());
+  Engine net = make_ba_network(60, 8, flooding_factory());
   fault::FaultPlan plan;
   plan.peers.push_back({.node = 11, .state = fault::PeerState::crashed});
   net.install_faults(
@@ -135,19 +138,19 @@ TEST(FaultProperties, FreeRiderForwardsButNeverServes) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  Network net(small_config(3), std::move(g), flooding_factory());
+  Engine net(small_config(3), std::move(g), flooding_factory());
 
   workload::FileId only_at_1 = workload::kNoFile;
-  for (const workload::FileId f : net.peer(1).store.files()) {
-    if (!net.peer(0).store.has(f) && !net.peer(2).store.has(f)) {
+  for (const workload::FileId f : net.store(1)) {
+    if (!net.store_has(0, f) && !net.store_has(2, f)) {
       only_at_1 = f;
       break;
     }
   }
   ASSERT_NE(only_at_1, workload::kNoFile);
   workload::FileId at_2 = workload::kNoFile;
-  for (const workload::FileId f : net.peer(2).store.files()) {
-    if (!net.peer(0).store.has(f) && !net.peer(1).store.has(f)) {
+  for (const workload::FileId f : net.store(2)) {
+    if (!net.store_has(0, f) && !net.store_has(1, f)) {
       at_2 = f;
       break;
     }
@@ -183,8 +186,9 @@ TEST(FaultProperties, ZeroFaultInjectorIsBitForBitTransparent) {
   scenario.jitter = 0;
   scenario.plan = fault::FaultPlan::none();
 
-  const FaultRunResult with_injector = run_fault_scenario(scenario, 7, true);
-  const FaultRunResult without = run_fault_scenario(scenario, 7, false);
+  const FaultRunResult with_injector =
+      sim::run_fault_scenario(scenario, 7, true);
+  const FaultRunResult without = sim::run_fault_scenario(scenario, 7, false);
   EXPECT_EQ(with_injector.outcome_bytes, without.outcome_bytes);
   EXPECT_EQ(with_injector.outcome_hash, without.outcome_hash);
   std::uint64_t dropped = 0;
@@ -204,7 +208,7 @@ TEST(FaultProperties, DropZeroPlanStillLosesNothing) {
   scenario.plan.drop = 0.0;
   scenario.plan.duplicate = 0.0;
 
-  const FaultRunResult run = run_fault_scenario(scenario, 21, true);
+  const FaultRunResult run = sim::run_fault_scenario(scenario, 21, true);
   std::uint64_t dropped = 0;
   for (const FaultEpochStats& e : run.epochs) dropped += e.dropped;
   EXPECT_EQ(dropped, 0u);
@@ -233,7 +237,7 @@ TEST(ChurnStaleRules, PurgeHostDropsObservationsNamingTheHost) {
 }
 
 TEST(ChurnStaleRules, ReplacePeerPurgesRulesRoutingToDeadNodeId) {
-  // Regression: before the purge hook, Network::churn() left every other
+  // Regression: before the purge hook, churn() left every other
   // node's mined rules pointing at the departed NodeId — queries kept
   // rule-routing to a fresh stranger that never earned the rule.
   Graph g(5);  // star around 0, plus 2-4 so 0 has multiple neighbors
@@ -244,7 +248,7 @@ TEST(ChurnStaleRules, ReplacePeerPurgesRulesRoutingToDeadNodeId) {
   AssociationPolicyConfig config;
   config.rebuild_every = 4;
   config.min_support = 2;
-  Network net(small_config(9), std::move(g), [config](NodeId) {
+  Engine net(small_config(9), std::move(g), [config](NodeId) {
     return std::make_unique<AssociationRoutingPolicy>(config);
   });
 
@@ -282,7 +286,7 @@ TEST(ChurnStaleRules, ShortcutListsAlsoPurged) {
   g.add_edge(0, 1);
   g.add_edge(0, 2);
   g.add_edge(0, 3);
-  Network net(small_config(12), std::move(g), [](NodeId) {
+  Engine net(small_config(12), std::move(g), [](NodeId) {
     return std::make_unique<InterestShortcutsPolicy>();
   });
   auto& policy = dynamic_cast<InterestShortcutsPolicy&>(net.policy(0));

@@ -8,8 +8,8 @@
 
 #include "core/strategy.hpp"
 #include "core/trace_simulator.hpp"
-#include "overlay/experiment.hpp"
 #include "overlay/hybrid.hpp"
+#include "sim/experiment.hpp"
 #include "trace/generator.hpp"
 
 namespace aar {
@@ -57,21 +57,19 @@ TEST(HybridPolicy, RoutesThroughAssociationRules) {
 }
 
 TEST(HybridPolicy, BeatsOrMatchesPlainAssociationOnTraffic) {
-  overlay::ExperimentConfig config;
+  sim::ExperimentConfig config;
   config.seed = 61;
   config.nodes = 400;
   config.warmup_queries = 1'200;
   config.measure_queries = 1'200;
-  overlay::Network assoc_net =
-      overlay::make_network(config, [](overlay::NodeId) {
-        return std::make_unique<overlay::AssociationRoutingPolicy>();
-      });
-  const auto assoc = overlay::run_experiment("assoc", assoc_net, config);
-  overlay::Network hybrid_net =
-      overlay::make_network(config, [](overlay::NodeId) {
-        return std::make_unique<overlay::HybridShortcutsAssociationPolicy>();
-      });
-  const auto hybrid = overlay::run_experiment("hybrid", hybrid_net, config);
+  sim::Engine assoc_net = sim::make_network(config, [](overlay::NodeId) {
+    return std::make_unique<overlay::AssociationRoutingPolicy>();
+  });
+  const auto assoc = sim::run_experiment("assoc", assoc_net, config);
+  sim::Engine hybrid_net = sim::make_network(config, [](overlay::NodeId) {
+    return std::make_unique<overlay::HybridShortcutsAssociationPolicy>();
+  });
+  const auto hybrid = sim::run_experiment("hybrid", hybrid_net, config);
   EXPECT_LT(hybrid.total_messages.mean(), 1.1 * assoc.total_messages.mean());
   EXPECT_GT(hybrid.success_rate(), assoc.success_rate() - 0.02);
 }

@@ -1,11 +1,25 @@
-#include "overlay/network.hpp"
+// Search semantics of the overlay simulator on hand-built topologies: TTL
+// scope, hop and message counts, duplicate suppression, expanding rings,
+// interest-driven targets, policy swaps, and reply-path learning.  Every
+// search runs at one and at four threads and must come out byte-identical.
+
+#include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
+
+#include "overlay/fault_experiment.hpp"
 
 namespace aar::overlay {
 namespace {
+
+using sim::Engine;
+using sim::EngineConfig;
+
+constexpr std::size_t kThreads[] = {1, 4};
 
 /// Line topology 0 - 1 - 2 - ... - (n-1).
 Graph line_graph(std::size_t n) {
@@ -18,73 +32,78 @@ PolicyFactory flooding_factory() {
   return [](NodeId) { return std::make_unique<FloodingPolicy>(); };
 }
 
-NetworkConfig tiny_config() {
-  NetworkConfig config;
+EngineConfig tiny_config(std::size_t threads = 1) {
+  EngineConfig config;
   config.seed = 3;
   config.files_per_node = 4;
   config.content.files = 200;
   config.content.categories = 8;
+  config.threads = threads;
   return config;
 }
 
-/// Plant `file` at exactly `holder`, removing it elsewhere is not possible
-/// through the public API, so use a fresh rare file id instead: pick one no
-/// store contains.
-workload::FileId unowned_file(const Network& network) {
-  for (workload::FileId f = network.catalogue().size(); f-- > 0;) {
-    if (network.replica_count(f) == 0) return f;
+/// A file no store contains.
+workload::FileId unowned_file(const Engine& engine) {
+  for (workload::FileId f = engine.catalogue().size(); f-- > 0;) {
+    if (engine.holders(f).empty()) return f;
   }
   return workload::kNoFile;
 }
 
+/// Search from `origin` on fresh flooding engines over `graph` at every
+/// thread count; the outcomes must be byte-identical.
+SearchOutcome search_flooding(const Graph& graph, NodeId origin,
+                              workload::FileId target,
+                              const SearchOptions& options) {
+  SearchOutcome outcome;
+  std::vector<std::uint8_t> first;
+  for (const std::size_t threads : kThreads) {
+    Engine net(tiny_config(threads), graph, flooding_factory());
+    outcome = net.search(origin, target, options);
+    std::vector<std::uint8_t> bytes;
+    append_outcome(bytes, outcome);
+    if (first.empty()) first = bytes;
+    EXPECT_EQ(bytes, first) << "threads " << threads;
+  }
+  return outcome;
+}
+
 TEST(Network, FloodReachesWholeLineWithinTtl) {
-  Network net(tiny_config(), line_graph(6), flooding_factory());
+  const Engine net(tiny_config(), line_graph(6), flooding_factory());
   const workload::FileId missing = unowned_file(net);
   ASSERT_NE(missing, workload::kNoFile);
-  const SearchOutcome out = net.search(0, missing, {.ttl = 5});
+  const SearchOutcome out =
+      search_flooding(line_graph(6), 0, missing, {.ttl = 5});
   EXPECT_FALSE(out.hit);
   EXPECT_EQ(out.nodes_reached, 6u);
   EXPECT_EQ(out.query_messages, 5u);  // one per hop down the line
 }
 
 TEST(Network, TtlLimitsScope) {
-  Network net(tiny_config(), line_graph(6), flooding_factory());
-  const workload::FileId missing = unowned_file(net);
-  const SearchOutcome out = net.search(0, missing, {.ttl = 2});
+  const Engine net(tiny_config(), line_graph(6), flooding_factory());
+  const SearchOutcome out =
+      search_flooding(line_graph(6), 0, unowned_file(net), {.ttl = 2});
   EXPECT_EQ(out.nodes_reached, 3u);  // origin + 2 hops
   EXPECT_EQ(out.query_messages, 2u);
 }
 
 TEST(Network, FindsPlantedFileAndCountsHops) {
-  Network net(tiny_config(), line_graph(5), flooding_factory());
-  const workload::FileId file = unowned_file(net);
-  // Plant at node 3 via the test-visible store of a const peer is not
-  // allowed; use a policy-level check instead: plant through const_cast-free
-  // path — search for a file node 3 already has.
-  workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(3).store.files()) {
-    owned = f;
-    break;
-  }
-  ASSERT_NE(owned, workload::kNoFile);
-  // Ensure closer nodes do not have it; if they do, hops just come out lower,
-  // so only assert the hit and the hop bound.
-  const SearchOutcome out = net.search(0, owned, {.ttl = 5});
+  const Engine net(tiny_config(), line_graph(5), flooding_factory());
+  ASSERT_FALSE(net.store(3).empty());
+  // Search for a file node 3 holds; if a closer node has it too, hops just
+  // come out lower, so only assert the hit and the hop bound.
+  const SearchOutcome out =
+      search_flooding(line_graph(5), 0, net.store(3).front(), {.ttl = 5});
   EXPECT_TRUE(out.hit);
   EXPECT_LE(out.hops_to_first_hit, 3u);
   EXPECT_GE(out.replicas_found, 1u);
-  (void)file;
 }
 
 TEST(Network, OriginOwningFileIsZeroHopHit) {
-  Network net(tiny_config(), line_graph(4), flooding_factory());
-  workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(2).store.files()) {
-    owned = f;
-    break;
-  }
-  ASSERT_NE(owned, workload::kNoFile);
-  const SearchOutcome out = net.search(2, owned, {.ttl = 3});
+  const Engine net(tiny_config(), line_graph(4), flooding_factory());
+  ASSERT_FALSE(net.store(2).empty());
+  const SearchOutcome out =
+      search_flooding(line_graph(4), 2, net.store(2).front(), {.ttl = 3});
   EXPECT_TRUE(out.hit);
   EXPECT_EQ(out.hops_to_first_hit, 0u);
 }
@@ -93,20 +112,16 @@ TEST(Network, ReplyMessagesMatchPathLength) {
   // Star: center 0, leaves 1..4.  A hit at a leaf is 1 hop; reply = 1 msg.
   Graph star(5);
   for (NodeId leaf = 1; leaf < 5; ++leaf) star.add_edge(0, leaf);
-  Network net(tiny_config(), std::move(star), flooding_factory());
+  const Engine net(tiny_config(), star, flooding_factory());
   workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(3).store.files()) {
-    bool elsewhere = false;
-    for (NodeId n = 0; n < 5; ++n) {
-      if (n != 3 && net.peer(n).store.has(f)) elsewhere = true;
-    }
-    if (!elsewhere) {
+  for (const workload::FileId f : net.store(3)) {
+    if (net.holders(f).size() == 1) {
       owned = f;
       break;
     }
   }
   ASSERT_NE(owned, workload::kNoFile);
-  const SearchOutcome out = net.search(0, owned, {.ttl = 2});
+  const SearchOutcome out = search_flooding(star, 0, owned, {.ttl = 2});
   EXPECT_TRUE(out.hit);
   EXPECT_EQ(out.hops_to_first_hit, 1u);
   EXPECT_EQ(out.reply_messages, 1u);
@@ -120,23 +135,19 @@ TEST(Network, DuplicateSuppressionOnACycle) {
   triangle.add_edge(0, 1);
   triangle.add_edge(1, 2);
   triangle.add_edge(0, 2);
-  Network net(tiny_config(), std::move(triangle), flooding_factory());
-  const workload::FileId missing = unowned_file(net);
-  const SearchOutcome out = net.search(0, missing, {.ttl = 3});
+  const Engine net(tiny_config(), triangle, flooding_factory());
+  const SearchOutcome out =
+      search_flooding(triangle, 0, unowned_file(net), {.ttl = 3});
   EXPECT_EQ(out.nodes_reached, 3u);
   EXPECT_EQ(out.query_messages, 4u);
 }
 
 TEST(Network, ExpandingRingStopsEarlyOnNearbyContent) {
-  Network net(tiny_config(), line_graph(8), flooding_factory());
-  workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(1).store.files()) {
-    owned = f;
-    break;
-  }
-  ASSERT_NE(owned, workload::kNoFile);
+  const Engine net(tiny_config(), line_graph(8), flooding_factory());
+  ASSERT_FALSE(net.store(1).empty());
   const SearchOutcome ring =
-      net.search(0, owned, {.ttl = 7, .mode = SearchMode::kExpandingRing});
+      search_flooding(line_graph(8), 0, net.store(1).front(),
+                      {.ttl = 7, .mode = SearchMode::kExpandingRing});
   EXPECT_TRUE(ring.hit);
   // TTL-1 ring suffices: exactly 1 query message if node 1 holds it, or a
   // couple more if retried; in all cases well below a TTL-7 line flood.
@@ -144,22 +155,22 @@ TEST(Network, ExpandingRingStopsEarlyOnNearbyContent) {
 }
 
 TEST(Network, ExpandingRingEventuallyUsesFullTtl) {
-  Network net(tiny_config(), line_graph(8), flooding_factory());
-  const workload::FileId missing = unowned_file(net);
+  const Engine net(tiny_config(), line_graph(8), flooding_factory());
   const SearchOutcome ring =
-      net.search(0, missing, {.ttl = 7, .mode = SearchMode::kExpandingRing});
+      search_flooding(line_graph(8), 0, unowned_file(net),
+                      {.ttl = 7, .mode = SearchMode::kExpandingRing});
   EXPECT_FALSE(ring.hit);
   // Rings 1, 2, 4, 7 on a line: 1 + 2 + 4 + 7 = 14 query messages.
   EXPECT_EQ(ring.query_messages, 14u);
 }
 
 TEST(Network, SampleTargetRespectsInterests) {
-  NetworkConfig config = tiny_config();
+  EngineConfig config = tiny_config();
   config.content.files = 5'000;
   config.content.categories = 64;
-  Network net(config, line_graph(10), flooding_factory());
+  Engine net(config, line_graph(10), flooding_factory());
   for (NodeId n = 0; n < 10; ++n) {
-    const auto& cats = net.peer(n).profile.categories();
+    const auto& cats = net.profile(n).categories();
     for (int i = 0; i < 20; ++i) {
       const workload::FileId target = net.sample_target(n);
       const workload::Category cat = net.catalogue().category_of(target);
@@ -169,10 +180,11 @@ TEST(Network, SampleTargetRespectsInterests) {
 }
 
 TEST(Network, SetPolicySwapsBehaviour) {
-  Network net(tiny_config(), line_graph(4), flooding_factory());
+  Engine net(tiny_config(), line_graph(4), flooding_factory());
   net.set_policy(0, std::make_unique<KRandomWalkPolicy>(1));
   EXPECT_EQ(net.policy(0).name(), "k-random-walk(1)");
   EXPECT_EQ(net.policy(1).name(), "flooding");
+  EXPECT_THROW(net.set_policy(1, nullptr), std::invalid_argument);
 }
 
 // Learning hook plumbing: a recording policy observes reply paths.
@@ -201,34 +213,37 @@ class RecordingPolicy final : public RoutingPolicy {
 };
 
 TEST(Network, ReplyPathTeachesEveryIntermediateNode) {
-  RecordingPolicy::log().clear();
-  Network net(tiny_config(), line_graph(5),
-              [](NodeId) { return std::make_unique<RecordingPolicy>(); });
-  // Find a file held by node 4 and nobody closer to 0.
-  workload::FileId target = workload::kNoFile;
-  for (workload::FileId f : net.peer(4).store.files()) {
-    bool closer = false;
-    for (NodeId n = 0; n < 4; ++n) closer |= net.peer(n).store.has(f);
-    if (!closer) {
-      target = f;
-      break;
+  for (const std::size_t threads : kThreads) {
+    SCOPED_TRACE(threads);
+    RecordingPolicy::log().clear();
+    Engine net(tiny_config(threads), line_graph(5),
+               [](NodeId) { return std::make_unique<RecordingPolicy>(); });
+    // Find a file held by node 4 and nobody closer to 0.
+    workload::FileId target = workload::kNoFile;
+    for (const workload::FileId f : net.store(4)) {
+      bool closer = false;
+      for (NodeId n = 0; n < 4; ++n) closer |= net.store_has(n, f);
+      if (!closer) {
+        target = f;
+        break;
+      }
     }
+    ASSERT_NE(target, workload::kNoFile);
+    const SearchOutcome out = net.search(0, target, {.ttl = 6});
+    ASSERT_TRUE(out.hit);
+    EXPECT_EQ(out.hops_to_first_hit, 4u);
+    // Reply path 4 -> 3 -> 2 -> 1 -> 0 teaches nodes 3, 2, 1 and origin 0.
+    ASSERT_EQ(RecordingPolicy::log().size(), 4u);
+    const auto& obs = RecordingPolicy::log();
+    // Node 3 learned {2} -> {4}: queries from 2 should go to 4.
+    EXPECT_EQ(obs[0].self, 3u);
+    EXPECT_EQ(obs[0].upstream, 2u);
+    EXPECT_EQ(obs[0].downstream, 4u);
+    // Origin learns {self} -> {1}.
+    EXPECT_EQ(obs[3].self, 0u);
+    EXPECT_EQ(obs[3].upstream, 0u);
+    EXPECT_EQ(obs[3].downstream, 1u);
   }
-  ASSERT_NE(target, workload::kNoFile);
-  const SearchOutcome out = net.search(0, target, {.ttl = 6});
-  ASSERT_TRUE(out.hit);
-  EXPECT_EQ(out.hops_to_first_hit, 4u);
-  // Reply path 4 -> 3 -> 2 -> 1 -> 0 teaches nodes 3, 2, 1 and the origin 0.
-  ASSERT_EQ(RecordingPolicy::log().size(), 4u);
-  const auto& obs = RecordingPolicy::log();
-  // Node 3 learned {2} -> {4}: queries from 2 should go to 4.
-  EXPECT_EQ(obs[0].self, 3u);
-  EXPECT_EQ(obs[0].upstream, 2u);
-  EXPECT_EQ(obs[0].downstream, 4u);
-  // Origin learns {self} -> {1}.
-  EXPECT_EQ(obs[3].self, 0u);
-  EXPECT_EQ(obs[3].upstream, 0u);
-  EXPECT_EQ(obs[3].downstream, 1u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include "overlay/assoc_policy.hpp"
-#include "overlay/network.hpp"
 #include "overlay/routing_indices.hpp"
 #include "overlay/shortcuts.hpp"
 

@@ -76,6 +76,7 @@
 #include "mining/incremental_miner.hpp"
 #include "overlay/fault_experiment.hpp"
 #include "obs/registry.hpp"
+#include "sim/experiment.hpp"
 #include "sim/scale.hpp"
 #include "store/block_source.hpp"
 #include "store/reader.hpp"
@@ -658,9 +659,9 @@ int cmd_faults(const Options& options) {
             << " policy: " << scenario.policy << " nodes: " << scenario.nodes
             << " epochs: " << scenario.epochs << "\n";
   const overlay::FaultRunResult faulted =
-      overlay::run_fault_scenario(scenario, seed, /*faulted=*/true);
+      sim::run_fault_scenario(scenario, seed, /*faulted=*/true);
   const overlay::FaultRunResult lossless =
-      overlay::run_fault_scenario(scenario, seed, /*faulted=*/false);
+      sim::run_fault_scenario(scenario, seed, /*faulted=*/false);
 
   // Per-epoch degradation: how far success and coverage fall from the
   // lossless baseline under the injected fault regime.

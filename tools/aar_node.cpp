@@ -32,12 +32,15 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +54,11 @@ namespace {
 
 using namespace aar;
 
+/// A malformed flag value: reported as a usage error (exit 2).
+struct BadFlag : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Options {
   std::string command;
   /// Values in flag order; most flags use the last occurrence, repeatable
@@ -63,11 +71,26 @@ struct Options {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second.back();
   }
-  [[nodiscard]] long num(const std::string& key, long fallback) const {
+  /// The integer value of `--key`, or `fallback` when the flag is absent.
+  /// The whole value must be a base-10 integer in [lo, hi] (by default the
+  /// range of T); anything else throws BadFlag, a usage error.
+  template <typename T>
+  [[nodiscard]] T num(const std::string& key, T fallback,
+                      T lo = std::numeric_limits<T>::min(),
+                      T hi = std::numeric_limits<T>::max()) const {
     const auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : std::strtol(it->second.back().c_str(), nullptr, 10);
+    if (it == flags.end()) return fallback;
+    const std::string& raw = it->second.back();
+    T value{};
+    const auto [end, error] =
+        std::from_chars(raw.data(), raw.data() + raw.size(), value);
+    if (raw.empty() || error != std::errc{} ||
+        end != raw.data() + raw.size() || value < lo || value > hi) {
+      throw BadFlag("--" + key + " must be an integer in " +
+                    std::to_string(lo) + ".." + std::to_string(hi) +
+                    ", got '" + raw + "'");
+    }
+    return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return flags.contains(key);
@@ -170,42 +193,25 @@ void handle_signal(int) {
 
 int cmd_serve(const Options& options) {
   node::NodeConfig config;
-  config.port = static_cast<std::uint16_t>(options.num("port", 0));
-  config.admin_port = static_cast<std::uint16_t>(options.num("admin-port", 0));
-  if (options.has("threads")) {
-    // Strict: a shard count that silently parsed to 0 (or to garbage) would
-    // change serving semantics, so reject anything but a plain 1..64.
-    const std::string& raw = options.flags.at("threads").back();
-    char* end = nullptr;
-    const long threads = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || threads < 1 ||
-        threads > 64) {
-      std::cerr << "serve: --threads must be an integer in 1..64, got '"
-                << raw << "'\n";
-      return usage();
-    }
-    config.threads = static_cast<std::size_t>(threads);
-  }
+  config.port = options.num<std::uint16_t>("port", 0);
+  config.admin_port = options.num<std::uint16_t>("admin-port", 0);
+  config.threads = options.num<std::size_t>("threads", config.threads, 1, 64);
   if (options.has("bind")) {
     // --bind is the explicit opt-in for non-loopback serving; the Daemon
     // refuses non-loopback addresses that arrive any other way.
     config.bind_addr = options.flags.at("bind").back();
     config.allow_nonloopback = true;
   }
-  config.window = static_cast<std::size_t>(options.num("window", 4096));
-  config.min_support =
-      static_cast<std::uint32_t>(options.num("min-support", 2));
-  config.rebuild_every =
-      static_cast<std::size_t>(options.num("rebuild-every", 64));
-  config.top_k = static_cast<std::size_t>(options.num("top-k", 2));
-  config.retries = static_cast<std::uint32_t>(options.num("retries", 3));
-  config.backoff_ms = static_cast<std::uint32_t>(options.num("backoff-ms", 10));
-  config.backoff_jitter_ms =
-      static_cast<std::uint32_t>(options.num("jitter-ms", 0));
-  config.send_timeout_ms =
-      static_cast<std::uint32_t>(options.num("send-timeout-ms", 2000));
-  config.send_buffer = static_cast<int>(options.num("send-buffer", 0));
-  config.seed = static_cast<std::uint64_t>(options.num("seed", 7));
+  config.window = options.num<std::size_t>("window", 4096);
+  config.min_support = options.num<std::uint32_t>("min-support", 2);
+  config.rebuild_every = options.num<std::size_t>("rebuild-every", 64);
+  config.top_k = options.num<std::size_t>("top-k", 2);
+  config.retries = options.num<std::uint32_t>("retries", 3);
+  config.backoff_ms = options.num<std::uint32_t>("backoff-ms", 10);
+  config.backoff_jitter_ms = options.num<std::uint32_t>("jitter-ms", 0);
+  config.send_timeout_ms = options.num<std::uint32_t>("send-timeout-ms", 2000);
+  config.send_buffer = options.num<int>("send-buffer", 0, 0);
+  config.seed = options.num<std::uint64_t>("seed", 7);
   // Strict peering flags: a peer endpoint that silently parsed wrong would
   // dial (and retry forever against) the wrong machine.
   for (const std::string& raw : options.all("peer")) {
@@ -217,31 +223,10 @@ int cmd_serve(const Options& options) {
     }
     config.peers.push_back(*address);
   }
-  if (options.has("ping-interval")) {
-    const std::string& raw = options.flags.at("ping-interval").back();
-    char* end = nullptr;
-    const long interval = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || interval < 0 ||
-        interval > 3'600'000) {
-      std::cerr << "serve: --ping-interval must be an integer in "
-                   "0..3600000 ms, got '"
-                << raw << "'\n";
-      return usage();
-    }
-    config.ping_interval_ms = static_cast<std::uint32_t>(interval);
-  }
-  if (options.has("pong-budget")) {
-    const std::string& raw = options.flags.at("pong-budget").back();
-    char* end = nullptr;
-    const long budget = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || budget < 1 ||
-        budget > 100) {
-      std::cerr << "serve: --pong-budget must be an integer in 1..100, got '"
-                << raw << "'\n";
-      return usage();
-    }
-    config.pong_budget = static_cast<std::uint32_t>(budget);
-  }
+  config.ping_interval_ms = options.num<std::uint32_t>(
+      "ping-interval", config.ping_interval_ms, 0, 3'600'000);
+  config.pong_budget =
+      options.num<std::uint32_t>("pong-budget", config.pong_budget, 1, 100);
   if (options.has("state-dir")) {
     // Strict: an empty path would silently disable persistence the caller
     // explicitly asked for.
@@ -251,22 +236,11 @@ int cmd_serve(const Options& options) {
       return usage();
     }
   }
-  if (options.has("checkpoint-ms")) {
-    const std::string& raw = options.flags.at("checkpoint-ms").back();
-    char* end = nullptr;
-    const long interval = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || interval < 0 ||
-        interval > 3'600'000) {
-      std::cerr << "serve: --checkpoint-ms must be an integer in "
-                   "0..3600000 ms, got '"
-                << raw << "'\n";
-      return usage();
-    }
-    if (interval > 0 && !options.has("state-dir")) {
-      std::cerr << "serve: --checkpoint-ms needs --state-dir\n";
-      return usage();
-    }
-    config.checkpoint_ms = static_cast<std::uint32_t>(interval);
+  config.checkpoint_ms = options.num<std::uint32_t>(
+      "checkpoint-ms", config.checkpoint_ms, 0, 3'600'000);
+  if (config.checkpoint_ms > 0 && !options.has("state-dir")) {
+    std::cerr << "serve: --checkpoint-ms needs --state-dir\n";
+    return usage();
   }
 
   node::Daemon daemon(config);
@@ -304,38 +278,25 @@ int cmd_replay(const Options& options) {
   }
   node::ReplayConfig config;
   config.host = options.get("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(options.num("port", 0));
+  config.port = options.num<std::uint16_t>("port", 0);
   config.trace_path = options.get("trace", "");
-  config.pairs = static_cast<std::size_t>(options.num("pairs", 1000));
-  config.rate = static_cast<double>(options.num("rate", 0));
-  config.connections =
-      static_cast<std::size_t>(options.num("connections", 4));
-  config.ttl = static_cast<std::uint8_t>(options.num("ttl", 4));
-  config.hit_lag = static_cast<std::size_t>(options.num("hit-lag", 16));
-  config.hosts = static_cast<std::uint32_t>(options.num("hosts", 32));
-  config.drain_ms = static_cast<std::uint32_t>(options.num("drain-ms", 1000));
-  config.lockstep = options.num("lockstep", 0) != 0;
-  config.lockstep_wait_ms = static_cast<std::uint32_t>(
-      options.num("lockstep-wait-ms", 500));
-  config.seed = static_cast<std::uint64_t>(options.num("seed", 1));
+  config.pairs = options.num<std::size_t>("pairs", 1000);
+  config.rate = static_cast<double>(options.num<std::uint64_t>("rate", 0));
+  config.connections = options.num<std::size_t>("connections", 4);
+  config.ttl = options.num<std::uint8_t>("ttl", 4);
+  config.hit_lag = options.num<std::size_t>("hit-lag", 16);
+  config.hosts = options.num<std::uint32_t>("hosts", 32);
+  config.drain_ms = options.num<std::uint32_t>("drain-ms", 1000);
+  config.lockstep = options.num<int>("lockstep", 0, 0, 1) != 0;
+  config.lockstep_wait_ms = options.num<std::uint32_t>("lockstep-wait-ms", 500);
+  config.seed = options.num<std::uint64_t>("seed", 1);
   config.hits_host = options.get("hits-host", "127.0.0.1");
-  config.hits_port = static_cast<std::uint16_t>(options.num("hits-port", 0));
-  long expect_hits = 0;
-  if (options.has("expect-hits")) {
-    const std::string& raw = options.flags.at("expect-hits").back();
-    char* end = nullptr;
-    expect_hits = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || expect_hits < 1) {
-      std::cerr << "replay: --expect-hits must be a positive integer, got '"
-                << raw << "'\n";
-      return usage();
-    }
-  }
+  config.hits_port = options.num<std::uint16_t>("hits-port", 0);
+  const auto expect_hits = options.num<std::uint64_t>("expect-hits", 0, 1);
 
   const node::ReplayStats stats = node::run_replay(config);
   std::cout << node::to_text(stats);
-  if (expect_hits > 0 &&
-      stats.matched_hits < static_cast<std::uint64_t>(expect_hits)) {
+  if (expect_hits > 0 && stats.matched_hits < expect_hits) {
     std::cerr << "replay: expected at least " << expect_hits
               << " matched hits, got " << stats.matched_hits << "\n";
     return 1;
@@ -349,8 +310,7 @@ int cmd_admin(const Options& options) {
     return usage();
   }
   const std::string host = options.get("host", "127.0.0.1");
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(options.num("port", 0));
+  const auto port = options.num<std::uint16_t>("port", 0);
   const std::string command = options.get("command", "stats") + "\n";
 
   node::Fd fd = node::connect_tcp(host, port);
@@ -397,6 +357,9 @@ int main(int argc, char** argv) {
     if (options.command == "serve") return cmd_serve(options);
     if (options.command == "replay") return cmd_replay(options);
     if (options.command == "admin") return cmd_admin(options);
+  } catch (const BadFlag& error) {
+    std::cerr << "aar_node " << options.command << ": " << error.what() << "\n";
+    return usage();
   } catch (const std::exception& error) {
     std::cerr << "aar_node: " << error.what() << "\n";
     return 1;

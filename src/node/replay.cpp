@@ -17,6 +17,7 @@
 #include "store/reader.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace aar::node {
 
@@ -61,15 +62,6 @@ std::vector<trace::QueryReplyPair> synthesize(const ReplayConfig& config) {
     });
   }
   return pairs;
-}
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 }  // namespace
@@ -341,8 +333,8 @@ ReplayStats run_replay(const ReplayConfig& config) {
           : 0.0;
   std::sort(latencies.begin(), latencies.end());
   stats.latency_samples = latencies.size();
-  stats.latency_p50_ms = percentile(latencies, 0.50);
-  stats.latency_p99_ms = percentile(latencies, 0.99);
+  stats.latency_p50_ms = util::percentile_sorted(latencies, 50.0);
+  stats.latency_p99_ms = util::percentile_sorted(latencies, 99.0);
   stats.latency_max_ms = latencies.empty() ? 0.0 : latencies.back();
   return stats;
 }

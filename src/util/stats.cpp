@@ -42,16 +42,20 @@ std::size_t Series::first_below(double threshold) const noexcept {
   return values_.size();
 }
 
-double Series::percentile(double pct) const {
-  if (values_.empty()) return 0.0;
-  std::vector<double> sorted(values_.begin(), values_.end());
-  std::sort(sorted.begin(), sorted.end());
+double percentile_sorted(std::span<const double> sorted, double pct) noexcept {
+  if (sorted.empty()) return 0.0;
   const double clamped = std::clamp(pct, 0.0, 100.0);
   const double pos = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+double Series::percentile(double pct) const {
+  std::vector<double> sorted(values_.begin(), values_.end());
+  std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, pct);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

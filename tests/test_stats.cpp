@@ -104,6 +104,21 @@ TEST(Series, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 25.0);
 }
 
+TEST(PercentileSorted, PinsP50AndP99OnASmallSample) {
+  // rank = p / 100 * (n - 1), interpolated: the formula the replay latency
+  // percentiles and Series::percentile share.
+  const std::vector<double> sorted{1.0, 2.0, 4.0, 8.0, 16.0};
+  EXPECT_DOUBLE_EQ(util::percentile_sorted(sorted, 50.0), 4.0);
+  EXPECT_DOUBLE_EQ(util::percentile_sorted(sorted, 99.0), 15.68);
+  EXPECT_DOUBLE_EQ(util::percentile_sorted(sorted, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(util::percentile_sorted(sorted, 100.0), 16.0);
+  EXPECT_EQ(util::percentile_sorted({}, 50.0), 0.0);
+
+  util::Series series("unsorted");
+  for (const double v : {16.0, 1.0, 8.0, 2.0, 4.0}) series.add(v);
+  EXPECT_EQ(series.percentile(99.0), util::percentile_sorted(sorted, 99.0));
+}
+
 TEST(Series, SummaryTracksRunning) {
   Series s("x");
   for (double x : {2.0, 4.0, 6.0}) s.add(x);

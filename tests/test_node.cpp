@@ -508,8 +508,16 @@ TEST(NodeDaemon, DisconnectPurgesDeadPeersFromPublishedRulesAcrossShards) {
   }
 
   // Each close purges the departed peer and republishes: the next snapshot
-  // a shard routes against cannot name either dead neighbor.
-  const core::RuleSet after = published();
+  // a shard routes against cannot name either dead neighbor.  The stat
+  // moves before the purge republishes, so poll the published rules.
+  const auto purge_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  core::RuleSet after = published();
+  while ((routes_at(after, 2, 3) || routes_at(after, 3, 4)) &&
+         std::chrono::steady_clock::now() < purge_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    after = published();
+  }
   EXPECT_FALSE(routes_at(after, 2, 3)) << "purge left a rule at dead peer 3";
   EXPECT_FALSE(routes_at(after, 3, 4)) << "purge left a rule at dead peer 4";
 }
@@ -582,6 +590,28 @@ TEST(NodeCli, ServeKeepaliveFlagsMustBeIntegersInRange) {
   EXPECT_EQ(run_cli("serve --pong-budget 0"), 2);
   EXPECT_EQ(run_cli("serve --pong-budget 101"), 2);
   EXPECT_EQ(run_cli("serve --pong-budget three"), 2);
+}
+
+TEST(NodeCli, NumericFlagsMustBeWholeIntegersInRange) {
+  // Ports lie in 0..65535; a partial parse ("300x"), a non-number or a
+  // negative count is a usage error, never a silent 300, 0 or wrap.  The
+  // unreachable daemon (--port 1) and the refused --bind make an accepted
+  // value fail at runtime (exit 1) instead.
+  EXPECT_EQ(run_cli("replay --port 70000"), 2);
+  EXPECT_EQ(run_cli("replay --port -1"), 2);
+  EXPECT_EQ(run_cli("replay --port 1 --hits-port 65536"), 2);
+  EXPECT_EQ(run_cli("replay --port 1 --pairs 300x"), 2);
+  EXPECT_EQ(run_cli("replay --port 1 --connections abc"), 2);
+  EXPECT_EQ(run_cli("replay --port 1 --ttl 256"), 2);
+  EXPECT_EQ(run_cli("admin --port 65536"), 2);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --window 300x"), 2);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --window abc"), 2);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --port 70000"), 2);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --admin-port 70000"), 2);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --checkpoint-ms 5s"), 2);
+  // Well-formed values still get through to the runtime failure.
+  EXPECT_EQ(run_cli("replay --port 1 --pairs 300"), 1);
+  EXPECT_EQ(run_cli("serve --bind 256.1.1.1 --window 300 --port 0"), 1);
 }
 
 TEST(NodeCli, ReplayExpectHitsMustBeAPositiveInteger) {

@@ -1,7 +1,7 @@
 // Unit tests for the sharded discrete-event engine itself: construction
 // invariants, schedule compilation, sharded-build determinism across
 // thread/shard counts, churn's store rows and holder index, node-id
-// bounds, and the scale driver.
+// bounds, the scale driver, and the pinned digests of faulted runs.
 
 #include "sim/engine.hpp"
 
@@ -11,10 +11,16 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/registry.hpp"
+#include "overlay/assoc_policy.hpp"
+#include "overlay/fault_experiment.hpp"
 #include "overlay/policy.hpp"
 #include "overlay/topology.hpp"
 #include "sim/scale.hpp"
@@ -325,6 +331,112 @@ TEST(SimEngineGolden, FaultedChurnRunIsPinned) {
 
 TEST(SimEngineGolden, FaultedChurnRunWithRetriesIsPinned) {
   expect_golden(golden_config(true), {0x306d53a31a1b29b8ULL, 1400, 1609330});
+}
+
+// --- golden: final hops under every fault ------------------------------
+//
+// Digests captured before final-hop messages were settled when sent.  A
+// kSharded engine routes by association rules at TTL 3 under drops,
+// duplicates, delays of up to 2 stamps, slow peers and a crashed peer, with
+// a timeout and two retries: truncation meets final hops, and the second
+// batch reaches the ladder's final flood.  Churn runs between the batches,
+// and an expanding-ring batch ends the run (its ring-1 pass makes every hop
+// final).  Pinned: the outcome bytes, the sim.engine.rounds/events counters
+// and every peer's RuleSet::save bytes.
+
+struct FinalHopRun {
+  std::uint64_t outcomes = 0;
+  std::uint64_t rules = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t events = 0;
+};
+
+FinalHopRun final_hop_run(std::size_t threads, std::size_t shards) {
+  util::Rng topo(23);
+  EngineConfig config;
+  config.seed = 23;
+  config.build = EngineConfig::Build::kSharded;
+  config.threads = threads;
+  config.shards = shards;
+  config.files_per_node = 12;
+  config.content.files = 2'000;
+  config.content.categories = 24;
+  Engine engine(config, overlay::make_barabasi_albert(600, 3, topo),
+                [](overlay::NodeId) {
+                  return std::make_unique<overlay::AssociationRoutingPolicy>();
+                });
+  fault::FaultPlan plan;
+  plan.drop = 0.04;
+  plan.duplicate = 0.05;
+  plan.max_delay = 2;
+  plan.slow_extra = 2;
+  for (const overlay::NodeId slow : {3u, 50u, 101u, 333u}) {
+    plan.peers.push_back({slow, fault::PeerState::slow});
+  }
+  plan.peers.push_back({7, fault::PeerState::crashed});
+  engine.install_faults(std::make_unique<fault::FaultInjector>(
+      plan, fault::FaultSchedule{}, 23, engine.num_nodes()));
+
+  auto& registry = obs::Registry::global();
+  obs::Counter& rounds = registry.counter("sim.engine.rounds");
+  obs::Counter& events = registry.counter("sim.engine.events");
+  const std::uint64_t rounds_before = rounds.value();
+  const std::uint64_t events_before = events.value();
+
+  std::vector<std::uint8_t> outcomes;
+  util::Rng picker(25);
+  const auto batch = [&](std::size_t count,
+                         const overlay::SearchOptions& options) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto origin =
+          static_cast<overlay::NodeId>(picker.below(engine.num_nodes()));
+      const workload::FileId target = engine.sample_target(origin);
+      overlay::append_outcome(outcomes, engine.search(origin, target, options));
+    }
+  };
+  overlay::SearchOptions routed;
+  routed.ttl = 3;
+  routed.timeout_stamps = 14;  // below the TTL-3 horizon of 15 stamps
+  routed.max_retries = 2;
+  batch(300, routed);
+  engine.churn(12, 3);
+  routed.timeout_stamps = 20;  // room for the retry ladder's final flood
+  batch(300, routed);
+  overlay::SearchOptions ring;
+  ring.mode = overlay::SearchMode::kExpandingRing;
+  ring.ttl = 4;
+  ring.timeout_stamps = 12;
+  batch(150, ring);
+
+  std::string rules;
+  for (overlay::NodeId node = 0; node < engine.num_nodes(); ++node) {
+    std::ostringstream bytes;
+    dynamic_cast<overlay::AssociationRoutingPolicy&>(engine.policy(node))
+        .rules()
+        .save(bytes);
+    rules += bytes.str();
+  }
+  return {overlay::fnv1a(outcomes),
+          overlay::fnv1a({rules.begin(), rules.end()}),
+          rounds.value() - rounds_before, events.value() - events_before};
+}
+
+TEST(SimEngineGolden, FinalHopsUnderFaultsArePinned) {
+  constexpr std::size_t kThreads[] = {1, 2, 4};
+  constexpr std::size_t kShards[] = {1, 8};
+  for (const std::size_t threads : kThreads) {
+    for (const std::size_t shards : kShards) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
+                   std::to_string(shards));
+      const FinalHopRun run = final_hop_run(threads, shards);
+      EXPECT_EQ(run.outcomes, 0x1467cf25eb50d3fdULL);
+      EXPECT_EQ(run.rules, 0x6396cf9c2b2411a3ULL);
+#ifndef AAR_OBS_OFF
+      EXPECT_EQ(run.rounds, 8967u);
+      EXPECT_EQ(run.events, 320740u);
+#endif
+    }
+  }
 }
 
 }  // namespace

@@ -54,6 +54,9 @@ class AssociationRoutingPolicy final : public RoutingPolicy {
   /// Churn: purge every observation naming the departed peer so stale rules
   /// stop routing to a NodeId now occupied by a different peer.
   void on_peer_departed(NodeId node) override;
+  /// A reply path's (upstream, downstream) pair names the peer itself or
+  /// two of its neighbours.
+  [[nodiscard]] bool learns_only_neighbors() const override { return true; }
 
   /// The rule set of the most recent snapshot (refreshed every
   /// `rebuild_every` observations) — what route() forwards against.

@@ -52,6 +52,13 @@ class HybridShortcutsAssociationPolicy final : public RoutingPolicy {
     shortcuts_.on_search_result(query, self, hit, server);
   }
 
+  /// Churn: both halves purge; the shortcut half learns servers anywhere,
+  /// so learns_only_neighbors() stays false.
+  void on_peer_departed(NodeId node) override {
+    association_.on_peer_departed(node);
+    shortcuts_.on_peer_departed(node);
+  }
+
   [[nodiscard]] const AssociationRoutingPolicy& association() const noexcept {
     return association_;
   }

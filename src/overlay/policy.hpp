@@ -78,6 +78,12 @@ class RoutingPolicy {
   /// purged.  Default: no learned state, nothing to do.
   virtual void on_peer_departed(NodeId node) { (void)node; }
 
+  /// True when every id the policy's learned state can name was its peer's
+  /// neighbour (or the peer itself) when learned.  A departure then needs
+  /// the purge only at the departed peer's former neighbours.  Default
+  /// false, the safe answer: the policy may learn any id.
+  [[nodiscard]] virtual bool learns_only_neighbors() const { return false; }
+
   /// True when a miss under this policy should be retried by flooding
   /// (the paper's "revert to flooding" escape hatch).
   [[nodiscard]] virtual bool wants_flood_fallback() const { return false; }
@@ -94,6 +100,7 @@ using PolicyFactory =
 class FloodingPolicy final : public RoutingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "flooding"; }
+  [[nodiscard]] bool learns_only_neighbors() const override { return true; }
   bool route(const Query& query, NodeId self, NodeId from,
              std::span<const NodeId> neighbors, util::Rng& rng,
              std::vector<NodeId>& out) override {
@@ -116,6 +123,7 @@ class KRandomWalkPolicy final : public RoutingPolicy {
     return "k-random-walk(" + std::to_string(walkers_) + ")";
   }
   [[nodiscard]] bool allows_revisit() const override { return true; }
+  [[nodiscard]] bool learns_only_neighbors() const override { return true; }
 
   bool route(const Query& query, NodeId self, NodeId from,
              std::span<const NodeId> neighbors, util::Rng& rng,

@@ -58,6 +58,7 @@ class RoutingIndicesPolicy final : public RoutingPolicy {
 
   [[nodiscard]] std::string name() const override { return "routing-indices"; }
   [[nodiscard]] bool wants_flood_fallback() const override { return true; }
+  [[nodiscard]] bool learns_only_neighbors() const override { return true; }
 
   bool route(const Query& query, NodeId self, NodeId from,
              std::span<const NodeId> neighbors, util::Rng& rng,

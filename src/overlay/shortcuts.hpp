@@ -43,6 +43,8 @@ class InterestShortcutsPolicy final : public RoutingPolicy {
                         NodeId server) override;
 
   /// Churn: a departed peer's shortcut entry now points at a stranger.
+  /// Servers are learned from anywhere in the overlay, so this policy keeps
+  /// learns_only_neighbors() false.
   void on_peer_departed(NodeId node) override { std::erase(shortcuts_, node); }
 
   [[nodiscard]] const std::vector<NodeId>& shortcuts() const noexcept {

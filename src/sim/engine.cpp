@@ -275,7 +275,7 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
   // Every other peer's learned state about the departed one — mined rule
   // consequents, shortcut entries — names a NodeId that now belongs to a
   // stranger.
-  model_->on_peer_departed(node);
+  model_->on_peer_departed(node, orphaned);
   // The replacement joins healthy regardless of its predecessor's state.
   if (faults_ != nullptr) faults_->on_peer_replaced(node);
   if (config_.engine_metrics) {
@@ -329,7 +329,8 @@ Engine::ReplyResult Engine::deliver_reply(const overlay::Query& query,
   return result;
 }
 
-void Engine::push_event(std::uint64_t slot, const QueryEvent& event) {
+void Engine::push_event(std::uint64_t slot, const QueryEvent& event,
+                        bool final_hop, PassState& st) {
   assert(static_cast<std::size_t>(slot) < order_.capacity_slots());
   if (!revisit_pass_) {
     // Only a peer's earliest queued message can be its first visit: one that
@@ -338,10 +339,23 @@ void Engine::push_event(std::uint64_t slot, const QueryEvent& event) {
     const std::uint64_t mark = queue_mark(slot);
     std::uint64_t& queued = queued_[event.node];
     if (queued >= queue_mark(0) && queued <= mark) {
-      order_.push(slot, kDuplicate);
+      order_.push(slot, kSettled);
       return;
     }
     queued = mark;
+    if (final_hop) {
+      // Due next round, and no later push can arrive sooner: this earliest
+      // queued message is the first visit, and it has nothing to route.
+      // Visit now; only a hit's answer waits for its place in the log.
+      ++st.pass.nodes_reached;
+      if (visit(event)) {
+        settled_hits_.push(slot, event);
+        order_.push(slot, kSettledHit);
+      } else {
+        order_.push(slot, kSettled);
+      }
+      return;
+    }
   }
   const std::uint32_t s = shard_of(event.node);
   shard_state_[s].queue.push(slot, event);
@@ -364,11 +378,8 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
     // Only the peer's earliest queued message, due now, is a first visit.
     const bool first_visit = queued_[ev.node] == first_mark;
     if (first_visit) {
-      parent_[ev.node] = ev.from;
       r.flags |= EventResult::kFirstVisit;
-      // A first visit answers at most once per pass, so the holder mark
-      // alone decides the hit.
-      if (serves(ev.node)) r.flags |= EventResult::kHit;
+      if (visit(ev)) r.flags |= EventResult::kHit;
     } else {
       // Duplicate suppressed (no peer revisits in this pass): an
       // earlier-arriving message to this peer was queued after this one.
@@ -443,9 +454,14 @@ void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
   // shard of each event, and each shard's slot and results are in push
   // order — and perform the order-sensitive work in (time, send order).
   std::fill(cursor_.begin(), cursor_.end(), 0);
+  std::size_t settled_hit = 0;
   for (const std::uint32_t s : order_.at(now)) {
     --st.frontier_size;
-    if (s == kDuplicate) continue;  // nothing else to apply
+    if (s == kSettled) continue;  // nothing else to apply
+    if (s == kSettledHit) {
+      answer(query, origin, settled_hits_.at(now)[settled_hit++], st);
+      continue;
+    }
     Shard& shard = shard_state_[s];
     const std::size_t i = cursor_[s]++;
     const QueryEvent& ev = shard.queue.at(now)[i];
@@ -476,9 +492,8 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     const bool revisits = model_->revisits(ev.node);
     if (queued_[ev.node] < queue_mark(0)) {  // first visit this pass
       queued_[ev.node] = queue_mark(now);
-      parent_[ev.node] = ev.from;
       ++st.pass.nodes_reached;
-      if (serves(ev.node)) answer(query, origin, ev, st);
+      if (visit(ev)) answer(query, origin, ev, st);
     } else if (!revisits) {
       continue;  // duplicate suppressed
     }
@@ -519,26 +534,28 @@ void Engine::forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
   st.any_directed = st.any_directed || directed;
   for (const NodeId target : targets) {
     ++st.pass.query_messages;
-    std::uint64_t arrival = now + 1;
+    fault::ForwardVerdict verdict;
     if (faults_ != nullptr) {
-      const fault::ForwardVerdict verdict = faults_->on_forward(ev.node, target);
+      verdict = faults_->on_forward(ev.node, target);
       if (verdict.dropped) {
         ++st.pass.dropped;
         continue;  // sent, lost in transit
       }
-      arrival += verdict.delay;
-      if (verdict.duplicated && arrival <= st.budget) {
-        ++st.pass.query_messages;  // the duplicate is a real extra message
-        push_event(arrival,
-                   QueryEvent{target, ev.node, ev.depth + 1, ev.ttl - 1});
-        ++st.frontier_size;
-      }
     }
+    const std::uint64_t arrival = now + 1 + verdict.delay;
     if (arrival > st.budget) {
       st.pass.truncated = true;  // still in flight when the budget runs out
       continue;
     }
-    push_event(arrival, QueryEvent{target, ev.node, ev.depth + 1, ev.ttl - 1});
+    const QueryEvent hop{target, ev.node, ev.depth + 1, ev.ttl - 1};
+    // A final hop due next round is settled when sent (push_event).
+    const bool final_hop = hop.ttl == 0 && arrival == now + 1;
+    if (verdict.duplicated) {
+      ++st.pass.query_messages;  // the duplicate is a real extra message
+      push_event(arrival, hop, final_hop, st);
+      ++st.frontier_size;
+    }
+    push_event(arrival, hop, final_hop, st);
     ++st.frontier_size;
   }
   st.frontier_peak =
@@ -569,9 +586,10 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
   const std::uint64_t horizon = std::min(budget, std::uint64_t{ttl} * hop_max);
   const auto slots = static_cast<std::size_t>(horizon) + 1;
   order_.ensure(slots);
+  settled_hits_.ensure(slots);
   for (Shard& shard : shard_state_) shard.queue.ensure(slots);
 
-  push_event(0, QueryEvent{origin, origin, 0, ttl});
+  push_event(0, QueryEvent{origin, origin, 0, ttl}, /*final_hop=*/false, st);
   st.frontier_size = 1;
 
   using Clock = std::chrono::steady_clock;
@@ -600,6 +618,7 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
       apply_time += Clock::now() - routed;
     }
     order_.at(now).clear();
+    settled_hits_.at(now).clear();
     for (Shard& shard : shard_state_) shard.queue.at(now).clear();
   }
 

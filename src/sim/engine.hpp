@@ -19,7 +19,10 @@
 //     per-shard results in canonical order — the slot's push-order log
 //     names the shard of each event — and performs everything
 //     order-sensitive: fault rng draws, reply delivery and learning,
-//     message accounting, budget checks, and scheduling of the next hop.
+//     message accounting, budget checks, and scheduling of the next hop;
+//   * a final hop (TTL 0) due next round that is its recipient's first
+//     visit is settled when sent: it never enters a queue, and only a hit
+//     keeps work in the log, answered at its place in canonical order.
 //
 // Revisiting passes: while any peer's policy allows revisits (k-random
 // walks), a policy-routed pass has no parallel phase.  Every message is
@@ -223,11 +226,21 @@ class Engine {
               const QueryEvent& ev, PassState& st);
   void forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
                std::span<const NodeId> targets, bool directed, PassState& st);
-  void push_event(std::uint64_t slot, const QueryEvent& event);
+  /// Queue `event` for `slot`.  A `final_hop` (TTL 0, due the round after
+  /// the sender's) that is its recipient's first visit is settled instead.
+  void push_event(std::uint64_t slot, const QueryEvent& event, bool final_hop,
+                  PassState& st);
   /// Does `node` hold the current pass's target and answer queries?
   [[nodiscard]] bool serves(NodeId node) const {
     return holder_stamp_[node] == stamp_ &&
            (faults_ == nullptr || faults_->shares_content(node));
+  }
+  /// A first visit's order-free work: record the reverse-path parent and
+  /// say whether the peer answers (at most once per pass, so the holder
+  /// mark alone decides the hit).
+  bool visit(const QueryEvent& ev) {
+    parent_[ev.node] = ev.from;
+    return serves(ev.node);
   }
   ReplyResult deliver_reply(const overlay::Query& query, NodeId server);
   void next_stamp();
@@ -267,9 +280,13 @@ class Engine {
   std::size_t threads_ = 1;
   bool revisit_pass_ = false;  ///< the current pass routes serially
   std::vector<Shard> shard_state_;
-  /// Order-log entry of a message that can only be a duplicate.
-  static constexpr std::uint32_t kDuplicate = 0xffffffffu;
+  /// Order-log entries that name no shard: a message with nothing left to
+  /// apply (a duplicate, or a settled final hop that found no target), and
+  /// a settled final hop that answers at its place in the log.
+  static constexpr std::uint32_t kSettled = 0xffffffffu;
+  static constexpr std::uint32_t kSettledHit = 0xfffffffeu;
   SlotOrder order_;                            ///< shard of each push, per slot
+  ShardQueue settled_hits_;                    ///< kSettledHit events, per slot
   std::vector<std::size_t> cursor_;            ///< apply-phase shard cursors
   std::vector<NodeId> probe_scratch_;
   std::unique_ptr<util::ThreadPool> pool_;     ///< null when threads_ == 1

@@ -83,8 +83,9 @@ class Calendar {
 using ShardQueue = Calendar<QueryEvent>;
 
 /// Per-slot push-order log: the shard index of every event pushed into the
-/// slot, in push order.  Walking it with one cursor per shard replays the
-/// slot's events in canonical order.
+/// slot, in push order, or a marker for a message settled without a queue
+/// (Engine::kSettled, Engine::kSettledHit).  Walking it with one cursor per
+/// shard replays the slot's events in canonical order.
 using SlotOrder = Calendar<std::uint32_t>;
 
 /// Macro-level typed event on the search clock.

@@ -82,9 +82,11 @@ class PeerModel {
   /// Churn: the peer at `node` was replaced — discard its learned state.
   virtual void reset_peer(NodeId node) = 0;
 
-  /// Churn: tell every peer EXCEPT `departed` that the old occupant of that
-  /// NodeId is gone, so learned state naming it gets purged.
-  virtual void on_peer_departed(NodeId departed) = 0;
+  /// Churn: the old occupant of `departed` is gone, so learned state naming
+  /// it gets purged at every peer except `departed` that may hold some.
+  /// `former_neighbors` are its links from before the departure.
+  virtual void on_peer_departed(NodeId departed,
+                                std::span<const NodeId> former_neighbors) = 0;
 };
 
 /// Adapter running one overlay::RoutingPolicy per peer, created by a
@@ -112,7 +114,11 @@ class PolicyPeerModel final : public PeerModel {
                         NodeId server) override;
   [[nodiscard]] bool wants_flood_fallback(NodeId origin) const override;
   void reset_peer(NodeId node) override;
-  void on_peer_departed(NodeId departed) override;
+  /// Purges the former neighbours and every peer whose policy can learn any
+  /// id (docs/SIMULATION.md, "Churn in place"), once each, in ascending id
+  /// order as a sweep of every peer would.
+  void on_peer_departed(NodeId departed,
+                        std::span<const NodeId> former_neighbors) override;
 
   /// The per-peer policy.
   [[nodiscard]] overlay::RoutingPolicy& policy(NodeId node) {
@@ -126,6 +132,10 @@ class PolicyPeerModel final : public PeerModel {
   overlay::PolicyFactory factory_;
   std::vector<std::unique_ptr<overlay::RoutingPolicy>> policies_;
   std::size_t revisiting_ = 0;  ///< peers whose policy allows_revisit()
+  /// Peers whose policy can learn any id (!learns_only_neighbors()), sorted.
+  std::vector<NodeId> learns_any_;
+  std::vector<NodeId> neighbor_scratch_;
+  std::vector<NodeId> purge_scratch_;
 };
 
 }  // namespace aar::sim

@@ -160,6 +160,16 @@ TEST(NodeDaemon, LoopbackReplayMinesRulesAndRoutesHits) {
   EXPECT_EQ(replay.ttl_violations, 0u);
   EXPECT_EQ(replay.malformed, 0u);
 
+  // The replay's drain can end before the daemon has read every frame (seen
+  // under TSan), so wait for both counts, with a deadline, before stopping.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const NodeStats live = harness.daemon.stats();
+    if (live.queries_in >= 1500 && live.hits_in >= 1500) break;
+    if (std::chrono::steady_clock::now() >= deadline) break;  // asserted below
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   harness.daemon.stop();
   harness.server.join();
   const NodeStats& stats = harness.daemon.stats();

@@ -1,7 +1,6 @@
 #include "core/ruleset.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -18,7 +17,9 @@ constexpr std::uint64_t pair_key(HostId source, HostId replier) noexcept {
 
 RuleSet RuleSet::build(std::span<const QueryReplyPair> pairs,
                        std::uint32_t min_support, double min_confidence) {
-  assert(min_support >= 1);
+  if (min_support < 1) {
+    throw std::invalid_argument("RuleSet::build: min_support must be >= 1");
+  }
   std::unordered_map<std::uint64_t, std::uint32_t> counts;
   counts.reserve(pairs.size() / 4 + 16);
   std::unordered_map<HostId, std::uint32_t> source_totals;

@@ -42,7 +42,8 @@ class RuleSet {
 
   /// Mine a rule set from a window of pairs.  Pairs whose (source, replier)
   /// combination occurs fewer than `min_support` times are pruned — the
-  /// paper's support-pruning step.  min_support >= 1.
+  /// paper's support-pruning step.  Throws std::invalid_argument unless
+  /// min_support >= 1.
   ///
   /// `min_confidence` additionally prunes rules whose confidence
   /// count(source, replier) / count(source) falls below it — the

@@ -10,21 +10,42 @@
 
 namespace aar::core {
 
+BlockMeasures Strategy::measure(Block block, bool count) {
+  if (!count) return evaluate(current(), block, guid_states_);
+  if (worker_ == nullptr) {
+    spare_.count(block);
+    counted_ = true;
+    return evaluate(current(), block, guid_states_);
+  }
+  worker_->submit([this, block] { spare_.count(block); });
+  BlockMeasures measures;
+  try {
+    measures = evaluate(current(), block, guid_states_);
+  } catch (...) {
+    worker_->wait();  // spare_ and the block must outlive the task
+    throw;
+  }
+  static obs::Timer& wait_timer =
+      obs::Registry::global().timer("core.count_wait");
+  {
+    const obs::Timer::Scope scope = wait_timer.measure();
+    worker_->wait();
+  }
+  counted_ = true;
+  return measures;
+}
+
 void Strategy::regenerate(Block block) {
   static obs::Timer& build_timer =
       obs::Registry::global().timer("core.ruleset_build");
   const obs::Timer::Scope scope = build_timer.measure();
-  // Slide the miner's window to exactly this block: counting the new pairs
-  // and retiring the previous window's is incremental work, and the snapshot
-  // re-materializes only antecedents whose counts actually changed.  An
-  // attached executor counts the block's shards on its pool and merges them
-  // in canonical order — same window, counts, and dirty set either way.
-  if (executor_ != nullptr) {
-    executor_->mine(miner_, block);
-  } else {
-    miner_.add(block);
-    miner_.evict_to(block.size());
-  }
+  // Slide the miner's window to exactly this block: the swapped-in counts
+  // replace the previous window's, and the snapshot re-materializes only
+  // antecedents whose counts actually changed.
+  if (!counted_) spare_.count(block);
+  counted_ = false;
+  mining::ShardCounts* const tables[] = {&spare_};
+  miner_.replace_window(block, tables);
   miner_.snapshot();
   ++rulesets_generated_;
 }
@@ -43,7 +64,29 @@ constexpr std::uint64_t kDecayStride = 1'000;
 constexpr double kDropEpsilon = 0.05;
 }  // namespace
 
-// ---------------------------------------------------------------- adaptive
+// ------------------------------------------------------------ lazy/adaptive
+
+LazySlidingWindow::LazySlidingWindow(std::uint32_t min_support,
+                                     std::uint32_t period)
+    : Strategy(min_support), period_(period) {
+  if (period_ == 0) {
+    throw std::invalid_argument("LazySlidingWindow: period must be positive");
+  }
+}
+
+AdaptiveSlidingWindow::AdaptiveSlidingWindow(std::uint32_t min_support,
+                                             std::size_t history,
+                                             double initial_threshold,
+                                             double threshold_scale)
+    : Strategy(min_support),
+      history_(history),
+      initial_threshold_(initial_threshold),
+      threshold_scale_(threshold_scale) {
+  if (history_ == 0) {
+    throw std::invalid_argument(
+        "AdaptiveSlidingWindow: history must be positive");
+  }
+}
 
 double AdaptiveSlidingWindow::threshold_of(const std::vector<double>& window,
                                            double initial) {
@@ -63,7 +106,9 @@ double AdaptiveSlidingWindow::success_threshold() const {
 BlockMeasures AdaptiveSlidingWindow::test_block(Block block) {
   const double ct = coverage_threshold();
   const double st = success_threshold();
-  const BlockMeasures measures = measure(block);
+  // Whether this block regenerates is known only from its measures, so it
+  // is counted speculatively and the count dropped when the rules stay.
+  const BlockMeasures measures = measure(block, /*count=*/true);
 
   auto push = [this](std::vector<double>& window, double value) {
     window.push_back(value);
@@ -74,6 +119,8 @@ BlockMeasures AdaptiveSlidingWindow::test_block(Block block) {
 
   if (measures.coverage() < ct || measures.success() < st) {
     regenerate(block);  // refresh from the block that exposed the staleness
+  } else {
+    discard_count();
   }
   return measures;
 }

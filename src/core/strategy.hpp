@@ -22,33 +22,15 @@
 #include "core/ruleset.hpp"
 #include "mining/incremental_miner.hpp"
 #include "util/flat_map.hpp"
+#include "util/parallel.hpp"
 
 namespace aar::core {
 
 using Block = std::span<const QueryReplyPair>;
 
-/// Pluggable execution backend for the two block-granular bulk operations a
-/// strategy performs: evaluating a rule set against a test block and
-/// re-counting a block into the miner's window.  The default (no executor
-/// attached) runs both serially; aar::par::ShardExecutor shards the block
-/// across a thread pool and merges in canonical shard order, with the
-/// contract that results — measures, miner state, subsequent RuleSet
-/// snapshots — are bit-identical to the serial path (docs/PARALLEL.md).
-class BlockExecutor {
- public:
-  virtual ~BlockExecutor() = default;
-
-  /// Must return exactly core::evaluate(rules, block).
-  [[nodiscard]] virtual BlockMeasures evaluate(const RuleSet& rules,
-                                               Block block) = 0;
-
-  /// Must leave `miner` exactly as miner.add(block) followed by
-  /// miner.evict_to(block.size()) would (the caller snapshots afterwards).
-  virtual void mine(mining::IncrementalRuleMiner& miner, Block block) = 0;
-};
-
 class Strategy {
  public:
+  /// Throws std::invalid_argument unless min_support >= 1.
   explicit Strategy(std::uint32_t min_support)
       : miner_(mining::MinerConfig{.window = 0, .min_support = min_support}) {}
   virtual ~Strategy() = default;
@@ -77,28 +59,34 @@ class Strategy {
     return miner_.config().min_support;
   }
 
-  /// Route this strategy's bulk block work (evaluate / re-mine) through
-  /// `executor`; nullptr restores the serial path.  The executor must
-  /// outlive its attachment — core::TraceSimulator::run_parallel attaches
-  /// for the duration of one replay and detaches before returning.
-  void attach_executor(BlockExecutor* executor) noexcept {
-    executor_ = executor;
-  }
-  [[nodiscard]] BlockExecutor* executor() const noexcept { return executor_; }
+  /// Count blocks on `worker` while the calling thread evaluates them;
+  /// nullptr restores inline counting.  Results are identical either way.
+  /// The pool must outlive its attachment — core::TraceSimulator::
+  /// run_parallel lends a one-worker pool for the duration of one replay.
+  void attach_worker(util::ThreadPool* worker) noexcept { worker_ = worker; }
+  [[nodiscard]] util::ThreadPool* worker() const noexcept { return worker_; }
 
  protected:
-  /// Refresh the rule set from `block` through the shared incremental miner:
-  /// the block's pairs slide into the miner's window (evicting the previous
-  /// window's pairs) and a snapshot materializes only the antecedents whose
-  /// counts changed.  Produces exactly RuleSet::build(block, min_support).
-  /// Timed under obs "core.ruleset_build".
+  /// Evaluate the current rule set against `block`.  With `count`, also
+  /// count `block` into the spare table that the next regenerate(block)
+  /// installs: on the attached worker while the evaluation runs, inline
+  /// otherwise.  Counting never touches the rule set the evaluation reads
+  /// (only the miner's snapshot() writes it), so the overlap is exact.  The
+  /// caller's wait for the worker is timed under obs "core.count_wait".
+  [[nodiscard]] BlockMeasures measure(Block block, bool count = false);
+
+  /// Make `block` the miner's whole window and snapshot it: the spare table
+  /// counted by measure(block, true) is swapped in (a block not counted yet
+  /// is counted now) and the snapshot re-materializes only the antecedents
+  /// whose counts changed.  Produces exactly RuleSet::build(block,
+  /// min_support).  Timed under obs "core.ruleset_build".
   void regenerate(Block block);
 
-  /// Evaluate the current rule set against `block` — through the attached
-  /// executor when present, serially otherwise.  Byte-identical either way.
-  [[nodiscard]] BlockMeasures measure(Block block) {
-    return executor_ != nullptr ? executor_->evaluate(current(), block)
-                                : evaluate(current(), block, guid_states_);
+  /// Drop the spare table's count when the block is not regenerated after
+  /// all (adaptive counts every block before its measures decide).
+  void discard_count() noexcept {
+    spare_.clear();
+    counted_ = false;
   }
 
   /// This strategy's GUID table, reused block after block by measure() and
@@ -113,7 +101,9 @@ class Strategy {
  private:
   mining::IncrementalRuleMiner miner_;
   GuidStates guid_states_;
-  BlockExecutor* executor_ = nullptr;
+  mining::ShardCounts spare_;  ///< next window's counts; empty unless counted_
+  bool counted_ = false;       ///< spare_ holds the block being tested
+  util::ThreadPool* worker_ = nullptr;
   std::uint64_t rulesets_generated_ = 0;
 };
 
@@ -132,7 +122,7 @@ class SlidingWindow final : public Strategy {
   using Strategy::Strategy;
   [[nodiscard]] std::string name() const override { return "sliding"; }
   BlockMeasures test_block(Block block) override {
-    const BlockMeasures measures = measure(block);
+    const BlockMeasures measures = measure(block, /*count=*/true);
     regenerate(block);  // becomes the rule set for block b+1
     return measures;
   }
@@ -142,14 +132,16 @@ class SlidingWindow final : public Strategy {
 /// been used for `period` blocks.
 class LazySlidingWindow final : public Strategy {
  public:
-  LazySlidingWindow(std::uint32_t min_support, std::uint32_t period)
-      : Strategy(min_support), period_(period) {}
+  /// Throws std::invalid_argument for a zero `period`.
+  LazySlidingWindow(std::uint32_t min_support, std::uint32_t period);
   [[nodiscard]] std::string name() const override {
     return "lazy(" + std::to_string(period_) + ")";
   }
   BlockMeasures test_block(Block block) override {
-    const BlockMeasures measures = measure(block);
-    if (++used_ >= period_) {
+    // A regeneration block is known before the test, so only those count.
+    const bool due = ++used_ >= period_;
+    const BlockMeasures measures = measure(block, /*count=*/due);
+    if (due) {
       regenerate(block);
       used_ = 0;
     }
@@ -171,13 +163,10 @@ class LazySlidingWindow final : public Strategy {
 /// toward Sliding Window.
 class AdaptiveSlidingWindow final : public Strategy {
  public:
+  /// Throws std::invalid_argument for a zero `history`.
   AdaptiveSlidingWindow(std::uint32_t min_support, std::size_t history,
                         double initial_threshold = 0.7,
-                        double threshold_scale = 0.985)
-      : Strategy(min_support),
-        history_(history),
-        initial_threshold_(initial_threshold),
-        threshold_scale_(threshold_scale) {}
+                        double threshold_scale = 0.985);
 
   [[nodiscard]] std::string name() const override {
     return "adaptive(N=" + std::to_string(history_) + ")";

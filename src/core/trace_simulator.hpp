@@ -69,24 +69,24 @@ struct SimulationResult {
 
 /// Knobs for run_parallel (docs/PARALLEL.md).  Every value is
 /// output-neutral: the replay's SimulationResult, RuleSet snapshots, and
-/// deterministic metrics are identical for any thread count, shard count,
-/// or queue depth — only wall-clock time changes.
+/// deterministic metrics are identical for any thread count or queue depth
+/// — only wall-clock time changes.
 struct ParallelConfig {
-  /// Worker threads for block evaluation / mining; 0 = hardware_concurrency.
+  /// Threads for evaluation and counting; 0 = hardware_concurrency.  At 2
+  /// or more a worker counts each regenerated block while the caller
+  /// evaluates it (the two stages are all there is to overlap, so more
+  /// threads add nothing); at 1 the caller does both.
   std::size_t threads = 0;
-  /// Fixed shard count pairs are partitioned into (by query GUID); 0 picks
-  /// the default (16).  Kept independent of `threads` so the par.* shard
-  /// metrics do not vary with the worker count.
-  std::size_t shards = 0;
   /// Blocks the decode stage may buffer ahead of evaluation (>= 1).
   std::size_t queue_depth = 2;
 };
 
 /// Object façade over the block-replay loop: one strategy, one block size,
 /// serial or parallel execution.  `run` is exactly run_trace_simulation;
-/// `run_parallel` shards each block across a worker pool and overlaps
-/// store-side decode with mining/eval behind a bounded stage queue, with a
-/// bit-determinism contract against the serial path (docs/PARALLEL.md).
+/// `run_parallel` counts the next rule set's window on a worker while the
+/// block is evaluated and overlaps store-side decode with both behind a
+/// bounded stage queue, with a bit-determinism contract against the serial
+/// path (docs/PARALLEL.md).
 ///
 /// run_parallel is defined in the aar::par layer (src/par/replay.cpp);
 /// link aar_par to use it.  The serial members live in aar_core, keeping

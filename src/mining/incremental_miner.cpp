@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/registry.hpp"
 
@@ -33,7 +35,9 @@ void PairRing::grow() {
 
 IncrementalRuleMiner::IncrementalRuleMiner(MinerConfig config)
     : config_(config) {
-  assert(config_.min_support >= 1);
+  if (config_.min_support < 1) {
+    throw std::invalid_argument("IncrementalRuleMiner: min_support must be >= 1");
+  }
 }
 
 void IncrementalRuleMiner::mark_dirty(HostId antecedent,
@@ -119,33 +123,40 @@ void IncrementalRuleMiner::replace_window(
     std::span<ShardCounts* const> shards) {
   discard_spilled();
   // Serial add(block) + evict_to(block.size()) marks dirty every antecedent
-  // of the incoming block and every antecedent of the outgoing window; the
-  // outgoing window's antecedents are exactly the current counts_ domain.
-  // An antecedent present in both may be queued twice here (the old entry is
-  // dropped with counts_.clear() below, losing its dirty flag) — rebuild is
-  // idempotent, so duplicates only cost a redundant rebuild.
+  // of the outgoing window (the current counts_ domain) and every antecedent
+  // of the incoming block.  An antecedent present in both is queued twice
+  // (the old entry leaves with its dirty flag) — rebuild is idempotent, so
+  // duplicates only cost a redundant rebuild.
   counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
     mark_dirty(antecedent, state);
   });
   evictions_ += window_.size();  // the old window retires wholesale
-  counts_.clear();
   window_.clear();
   for (const QueryReplyPair& pair : block) window_.push_back(pair);
 
-  // Merge in the given order.  Counts are pure sums, so the merged table
-  // equals a serial count of `block` regardless of shard count or order —
-  // the canonical order only pins down internal hash-table layout.
-  for (ShardCounts* shard : shards) {
-    shard->counts_.for_each([&](HostId antecedent,
-                                const AntecedentCounts& from) {
-      AntecedentCounts& state = counts_.find_or_insert(antecedent);
-      state.total += from.total;
-      from.consequents.for_each([&](HostId neighbor, std::uint32_t support) {
-        state.consequents.find_or_insert(neighbor) += support;
+  if (shards.size() == 1) {
+    // One table already holds the whole count: take it as is and hand the
+    // retired table back cleared, for the caller to count into next.
+    std::swap(counts_, shards.front()->counts_);
+    shards.front()->clear();
+  } else {
+    // Merge in the given order.  Counts are pure sums, so the merged table
+    // equals a serial count of `block` regardless of shard count or order.
+    counts_.clear();
+    for (ShardCounts* shard : shards) {
+      shard->counts_.for_each([&](HostId antecedent,
+                                  const AntecedentCounts& from) {
+        AntecedentCounts& state = counts_.find_or_insert(antecedent);
+        state.total += from.total;
+        from.consequents.for_each([&](HostId neighbor, std::uint32_t support) {
+          state.consequents.find_or_insert(neighbor) += support;
+        });
       });
-      mark_dirty(antecedent, state);
-    });
+    }
   }
+  counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
+    mark_dirty(antecedent, state);
+  });
 }
 
 void IncrementalRuleMiner::clear() {

@@ -53,7 +53,8 @@ struct MinerConfig {
   /// Pairs retained in the sliding window; 0 = unbounded (caller evicts
   /// manually with evict_oldest()/evict_to()).
   std::size_t window = 0;
-  /// Support-pruning threshold, as in RuleSet::build.  >= 1.
+  /// Support-pruning threshold, as in RuleSet::build.  >= 1: the miner's
+  /// constructor throws std::invalid_argument otherwise.
   std::uint32_t min_support = 10;
   /// Confidence-pruning threshold, as in RuleSet::build.  0 disables.
   double min_confidence = 0.0;
@@ -97,13 +98,13 @@ struct AntecedentCounts {
   std::uint64_t last_touch = 0;
 };
 
-/// One shard's worth of pair counts for the parallel replay engine
-/// (aar::par): the same (antecedent -> consequent -> support, total) state
-/// the miner keeps, accumulated independently per shard on its own thread
-/// and merged into a miner in canonical shard-index order by
-/// IncrementalRuleMiner::replace_window.  Counting is pure addition, so the
-/// merged table equals the serial count of the whole block under ANY
-/// partition of its pairs.
+/// Pair counts kept outside a miner: the same (antecedent -> consequent ->
+/// support, total) state the miner keeps, accumulated on whatever thread
+/// owns the table and installed by IncrementalRuleMiner::replace_window.
+/// core::Strategy counts the next window into one while the current rule
+/// set is evaluated; mining::WindowMerger counts one per daemon shard.
+/// Counting is pure addition, so merged tables equal the serial count of
+/// the whole block under ANY partition of its pairs.
 class ShardCounts {
  public:
   /// Count one pair (two FlatCountMap ops, no window bookkeeping).
@@ -149,12 +150,14 @@ class IncrementalRuleMiner {
   std::size_t purge_host(HostId host);
 
   /// Replace the whole window with `block`, whose counts were accumulated
-  /// out-of-band into `shards` (merged here in the order given — canonical
-  /// shard-index order under aar::par).  Equivalent to add(block) followed
-  /// by evict_to(block.size()): the post-call counts, dirty set, and
-  /// eviction total are identical, so the next snapshot() — and every
-  /// metric it syncs — is byte-identical to the serial path.  The caller
-  /// must ensure the shards together count exactly the pairs of `block`.
+  /// out-of-band into `shards`.  Equivalent to add(block) followed by
+  /// evict_to(block.size()): the post-call counts, dirty set, and eviction
+  /// total are identical, so the next snapshot() — and every metric it
+  /// syncs — is byte-identical to the serial path.  The caller must ensure
+  /// the shards together count exactly the pairs of `block`.  One table is
+  /// swapped in whole and comes back cleared (holding the retired window's
+  /// allocation); several are merged in the order given and left as they
+  /// are.
   void replace_window(std::span<const QueryReplyPair> block,
                       std::span<ShardCounts* const> shards);
 

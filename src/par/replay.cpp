@@ -1,36 +1,39 @@
 // Definition of core::TraceSimulator::run_parallel (declared in
 // core/trace_simulator.hpp).  It lives here, in aar_par, so aar_core never
 // depends on the parallel engine: the parallel path is exactly the serial
-// replay loop with (a) a ShardExecutor attached to the strategy and (b) the
-// block source wrapped in a PrefetchBlockSource.  Reusing the one loop is
-// what makes the sim.* metrics, per-block series, and result encodings
+// replay loop with (a) a one-worker pool lent to the strategy, which counts
+// the next rule set's window while the caller evaluates the block, and (b)
+// the block source wrapped in a PrefetchBlockSource.  Reusing the one loop
+// is what makes the sim.* metrics, per-block series, and result encodings
 // byte-identical across thread counts (docs/PARALLEL.md).
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/trace_simulator.hpp"
-#include "par/executor.hpp"
 #include "par/pipeline.hpp"
+#include "util/parallel.hpp"
 
 namespace aar::core {
 
 namespace {
 
-/// Attach an executor to a strategy for one replay; always detach on exit so
-/// the strategy's later (possibly serial) runs are unaffected even when the
+/// Lend a worker to a strategy for one replay; always detach on exit so the
+/// strategy's later (possibly serial) runs are unaffected even when the
 /// replay throws.
-class ExecutorAttachment {
+class WorkerAttachment {
  public:
-  ExecutorAttachment(Strategy& strategy, BlockExecutor& executor) noexcept
+  WorkerAttachment(Strategy& strategy, util::ThreadPool* worker) noexcept
       : strategy_(strategy) {
-    strategy_.attach_executor(&executor);
+    strategy_.attach_worker(worker);
   }
-  ~ExecutorAttachment() { strategy_.attach_executor(nullptr); }
+  ~WorkerAttachment() { strategy_.attach_worker(nullptr); }
 
-  ExecutorAttachment(const ExecutorAttachment&) = delete;
-  ExecutorAttachment& operator=(const ExecutorAttachment&) = delete;
+  WorkerAttachment(const WorkerAttachment&) = delete;
+  WorkerAttachment& operator=(const WorkerAttachment&) = delete;
 
  private:
   Strategy& strategy_;
@@ -44,12 +47,17 @@ SimulationResult TraceSimulator::run_parallel(trace::BlockSource& source,
     throw std::invalid_argument(
         "run_trace_simulation: block_size must be positive");
   }
-  par::ShardExecutor executor(
-      config.threads,
-      config.shards == 0 ? par::kDefaultShards : config.shards);
+  // Counting and evaluation are the two stages to overlap, so a second
+  // thread is all the replay can use: one counting worker, or none at 1.
+  const std::size_t threads = config.threads != 0
+                                  ? config.threads
+                                  : std::thread::hardware_concurrency();
+  std::optional<util::ThreadPool> worker;
+  if (threads >= 2) worker.emplace(1);
   par::PrefetchBlockSource prefetch(
       source, block_size_, std::max<std::size_t>(1, config.queue_depth));
-  const ExecutorAttachment attachment(strategy_, executor);
+  const WorkerAttachment attachment(strategy_,
+                                    worker ? &*worker : nullptr);
   return run_trace_simulation(strategy_, prefetch, block_size_);
 }
 

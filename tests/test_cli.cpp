@@ -65,6 +65,33 @@ TEST(CliUsage, ValidInvocationsStillSucceed) {
   EXPECT_EQ(run_sim("compare --pairs 4000 --block-size 500 --threads 2"), 0);
 }
 
+TEST(CliUsage, StrategyParametersAreRangeChecked) {
+  // Each of these used to run and exit 0: a value past 32 bits was cast
+  // down (--min-support 4294967306 ran with 10, --period 4294967297 ran
+  // lazy(1)) and a zero ran a degenerate strategy.
+  const std::string run = "run --blocks 3 --block-size 500 ";
+  EXPECT_EQ(run_sim(run + "--strategy sliding --min-support 4294967306"), 2);
+  EXPECT_EQ(run_sim(run + "--strategy lazy --period 4294967297"), 2);
+  EXPECT_EQ(run_sim(run + "--strategy sliding --min-support 0"), 2);
+  EXPECT_EQ(run_sim(run + "--strategy lazy --period 0"), 2);
+  EXPECT_EQ(run_sim(run + "--strategy adaptive --history 0"), 2);
+  const std::string compare = "compare --pairs 4000 --block-size 500 ";
+  EXPECT_EQ(run_sim(compare + "--min-support 4294967306"), 2);
+  EXPECT_EQ(run_sim(compare + "--period 4294967297"), 2);
+  EXPECT_EQ(run_sim(compare + "--min-support 0"), 2);
+  EXPECT_EQ(run_sim(compare + "--period 0"), 2);
+  EXPECT_EQ(run_sim(compare + "--history 0"), 2);
+}
+
+TEST(CliUsage, StrategyParameterBoundsAreAccepted) {
+  const std::string run = "run --blocks 3 --block-size 500 ";
+  EXPECT_EQ(run_sim(run + "--strategy lazy --min-support 1 --period 4294967295"),
+            0);
+  EXPECT_EQ(run_sim(run + "--strategy adaptive --min-support 4294967295 "
+                          "--history 1"),
+            0);
+}
+
 TEST(CliUsage, MissingStrategyIsAUsageError) {
   EXPECT_EQ(run_sim("run --blocks 3 --block-size 500"), 2);
 }

@@ -1,15 +1,14 @@
-// Property and stress tests for the aar::par building blocks: the GUID
-// shard function, ShardCounts + IncrementalRuleMiner::replace_window (the
-// canonical-order merge), ShardExecutor, and PrefetchBlockSource.  The
-// differential end-to-end suite lives in test_par_differential.cpp; here
-// each piece is checked against its serial ground truth in isolation,
-// including under ThreadPool saturation (the "Par" suites run in the TSan
+// Property and stress tests for the aar::par building blocks: ShardCounts +
+// IncrementalRuleMiner::replace_window (one table swapped in, several
+// merged in the order given), a strategy counting on a lent worker while
+// it evaluates, and PrefetchBlockSource.  The differential end-to-end suite
+// lives in test_par_differential.cpp; here each piece is checked against
+// its serial ground truth in isolation (the "Par" suites run in the TSan
 // CI job).
-
-#include "par/executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -17,10 +16,13 @@
 
 #include "core/measures.hpp"
 #include "core/ruleset.hpp"
+#include "core/strategy.hpp"
+#include "core/trace_simulator.hpp"
 #include "mining/incremental_miner.hpp"
 #include "par/pipeline.hpp"
 #include "trace/block_source.hpp"
 #include "trace/record.hpp"
+#include "util/parallel.hpp"
 
 namespace aar::par {
 namespace {
@@ -54,43 +56,12 @@ std::vector<QueryReplyPair> random_stream(std::uint64_t seed,
   return stream;
 }
 
+/// Split a stream into `shards` buckets by GUID, keeping pair order.
 std::vector<std::vector<QueryReplyPair>> partition(
     const std::vector<QueryReplyPair>& stream, std::size_t shards) {
   std::vector<std::vector<QueryReplyPair>> out(shards);
-  for (const QueryReplyPair& p : stream) {
-    out[shard_of(p.guid, shards)].push_back(p);
-  }
+  for (const QueryReplyPair& p : stream) out[p.guid % shards].push_back(p);
   return out;
-}
-
-// ------------------------------------------------------------ shard_of
-
-TEST(ParShardOf, PinnedValuesGuardPlatformStability) {
-  // The partition must be identical across platforms and standard libraries
-  // (it feeds deterministic par.* metrics), so the SplitMix64 finalizer is
-  // pinned to concrete values rather than just range-checked.
-  EXPECT_EQ(shard_of(0, 16), 15u);
-  EXPECT_EQ(shard_of(1, 16), 1u);
-  EXPECT_EQ(shard_of(42, 16), 5u);
-  EXPECT_EQ(shard_of(~std::uint64_t{0}, 16), 0u);
-  EXPECT_EQ(shard_of(0, 7), 2u);
-  EXPECT_EQ(shard_of(42, 7), 5u);
-}
-
-TEST(ParShardOf, AlwaysBelowShardCountAndSpreads) {
-  for (const std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
-    std::vector<std::size_t> hits(shards, 0);
-    for (trace::Guid guid = 0; guid < 4'096; ++guid) {
-      const std::size_t s = shard_of(guid, shards);
-      ASSERT_LT(s, shards);
-      ++hits[s];
-    }
-    // A degenerate shard function would funnel everything into one bucket
-    // and serialize the pool; require a loose spread instead.
-    for (const std::size_t h : hits) {
-      EXPECT_GT(h, 4'096 / (4 * shards));
-    }
-  }
 }
 
 // ------------------------------------------------- replace_window merge
@@ -160,64 +131,97 @@ TEST(ParShardMerge, ShardCountsAccumulateAndClear) {
   EXPECT_EQ(counts.distinct_antecedents(), 0u);
 }
 
-// ----------------------------------------------------------- executor
+// ------------------------------------------- counting on a lent worker
 
 TEST(ParExecutor, EvaluateMatchesSerialEvaluate) {
+  // The test counts the block on the worker while it evaluates; the
+  // measures must be those of the rule set mined from the previous block.
   const auto train = random_stream(21, 2'000);
   const auto test = random_stream(22, 2'000);
-  const core::RuleSet rules = core::RuleSet::build(train, 2);
-  const core::BlockMeasures serial = core::evaluate(rules, test);
-  for (const std::size_t shards : {1u, 3u, 16u}) {
-    ShardExecutor executor(2, shards);
-    const core::BlockMeasures sharded = executor.evaluate(rules, test);
-    EXPECT_EQ(sharded.total_queries, serial.total_queries);
-    EXPECT_EQ(sharded.covered, serial.covered);
-    EXPECT_EQ(sharded.successful, serial.successful);
-  }
+  const core::BlockMeasures serial =
+      core::evaluate(core::RuleSet::build(train, 2), test);
+  util::ThreadPool worker(1);
+  core::SlidingWindow strategy(2);
+  strategy.attach_worker(&worker);
+  strategy.bootstrap(train);
+  const core::BlockMeasures overlapped = strategy.test_block(test);
+  EXPECT_EQ(overlapped.total_queries, serial.total_queries);
+  EXPECT_EQ(overlapped.covered, serial.covered);
+  EXPECT_EQ(overlapped.successful, serial.successful);
 }
 
 TEST(ParExecutor, MineMatchesSerialAddEvict) {
-  const auto block = random_stream(23, 2'500);
-  ShardExecutor executor(3);
-  mining::IncrementalRuleMiner mined({.window = 0, .min_support = 3});
-  executor.mine(mined, block);
+  const auto first = random_stream(23, 2'500);
+  const auto block = random_stream(24, 1'800);
+  util::ThreadPool worker(1);
+  core::SlidingWindow strategy(3);
+  strategy.attach_worker(&worker);
+  strategy.bootstrap(first);
+  (void)strategy.test_block(block);
   mining::IncrementalRuleMiner serial({.window = 0, .min_support = 3});
+  serial.add(first);
   serial.add(block);
   serial.evict_to(block.size());
-  EXPECT_EQ(mined.snapshot(), serial.snapshot());
+  EXPECT_EQ(strategy.current_ruleset(), serial.snapshot());
 }
 
 TEST(ParExecutor, ClampsDegenerateConfiguration) {
-  ShardExecutor executor(1, 0);  // 0 shards clamps to 1
-  EXPECT_EQ(executor.shards(), 1u);
-  EXPECT_GE(executor.threads(), 1u);
-  const auto block = random_stream(24, 500);
-  const core::RuleSet rules = core::RuleSet::build(block, 1);
-  const core::BlockMeasures serial = core::evaluate(rules, block);
-  EXPECT_EQ(executor.evaluate(rules, block).covered, serial.covered);
+  // threads 0 means hardware_concurrency and queue depth 0 clamps to 1;
+  // both still replay exactly the serial result.
+  const auto stream = random_stream(25, 6'000);
+  core::SlidingWindow serial(2);
+  const core::SimulationResult expect =
+      core::run_trace_simulation(serial, stream, 1'000);
+  core::SlidingWindow strategy(2);
+  core::TraceSimulator simulator(strategy, 1'000);
+  core::ParallelConfig config;
+  config.threads = 0;
+  config.queue_depth = 0;
+  const core::SimulationResult got = simulator.run_parallel(stream, config);
+  EXPECT_TRUE(std::ranges::equal(got.coverage.values(),
+                                 expect.coverage.values()));
+  EXPECT_TRUE(std::ranges::equal(got.success.values(),
+                                 expect.success.values()));
+  EXPECT_EQ(strategy.current_ruleset(), serial.current_ruleset());
+  EXPECT_EQ(strategy.worker(), nullptr);  // detached after the replay
 }
 
 TEST(ParExecutor, ThreadPoolSaturationStress) {
-  // Far more shards than workers, many consecutive blocks, alternating
-  // evaluate/mine — the queue is permanently saturated.  Every iteration
-  // must still match the serial ground truth (and run clean under TSan).
-  ShardExecutor executor(8, 32);
-  mining::IncrementalRuleMiner mined({.window = 0, .min_support = 2});
-  mining::IncrementalRuleMiner serial({.window = 0, .min_support = 2});
+  // Many consecutive blocks through the three block-mined strategies that
+  // count, sharing one worker: every block's measures and every rule set
+  // must match the serial twin's (and run clean under TSan).
+  util::ThreadPool worker(1);
+  core::SlidingWindow sliding(2);
+  core::LazySlidingWindow lazy(2, 3);
+  core::AdaptiveSlidingWindow adaptive(2, 4);
+  core::SlidingWindow sliding_serial(2);
+  core::LazySlidingWindow lazy_serial(2, 3);
+  core::AdaptiveSlidingWindow adaptive_serial(2, 4);
+  core::Strategy* const overlapped[] = {&sliding, &lazy, &adaptive};
+  core::Strategy* const serial[] = {&sliding_serial, &lazy_serial,
+                                    &adaptive_serial};
+  const auto first = random_stream(99, 1'200);
+  for (std::size_t s = 0; s < 3; ++s) {
+    overlapped[s]->attach_worker(&worker);
+    overlapped[s]->bootstrap(first);
+    serial[s]->bootstrap(first);
+  }
   for (std::uint64_t round = 0; round < 25; ++round) {
     const auto block = random_stream(100 + round, 1'200);
-    const core::RuleSet rules = core::RuleSet::build(block, 2);
-    const core::BlockMeasures expect = core::evaluate(rules, block);
-    const core::BlockMeasures got = executor.evaluate(rules, block);
-    ASSERT_EQ(got.total_queries, expect.total_queries) << round;
-    ASSERT_EQ(got.covered, expect.covered) << round;
-    ASSERT_EQ(got.successful, expect.successful) << round;
-
-    executor.mine(mined, block);
-    serial.add(block);
-    serial.evict_to(block.size());
-    ASSERT_EQ(mined.snapshot(), serial.snapshot()) << round;
+    for (std::size_t s = 0; s < 3; ++s) {
+      const core::BlockMeasures got = overlapped[s]->test_block(block);
+      const core::BlockMeasures want = serial[s]->test_block(block);
+      ASSERT_EQ(got.total_queries, want.total_queries) << round << '/' << s;
+      ASSERT_EQ(got.covered, want.covered) << round << '/' << s;
+      ASSERT_EQ(got.successful, want.successful) << round << '/' << s;
+      ASSERT_EQ(overlapped[s]->current_ruleset(), serial[s]->current_ruleset())
+          << round << '/' << s;
+      ASSERT_EQ(overlapped[s]->rulesets_generated(),
+                serial[s]->rulesets_generated())
+          << round << '/' << s;
+    }
   }
+  for (core::Strategy* strategy : overlapped) strategy->attach_worker(nullptr);
 }
 
 // ----------------------------------------------------------- pipeline

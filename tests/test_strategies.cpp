@@ -173,6 +173,20 @@ TEST(IncrementalRuleset, RejectsNonPositiveOrNonFiniteHalfLife) {
   EXPECT_NO_THROW(IncrementalRuleset(1, 1e-3));
 }
 
+TEST(StrategyParameters, RejectZeroesInEveryBuild) {
+  // min_support >= 1 used to be an assert, gone in Release builds.
+  EXPECT_THROW(SlidingWindow(0), std::invalid_argument);
+  EXPECT_THROW(StaticRuleset(0), std::invalid_argument);
+  EXPECT_THROW(LazySlidingWindow(1, 0), std::invalid_argument);
+  EXPECT_THROW(AdaptiveSlidingWindow(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)RuleSet::build(block_of(1, 100, 3, 0), 0),
+               std::invalid_argument);
+  EXPECT_THROW(mining::IncrementalRuleMiner({.window = 0, .min_support = 0}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(LazySlidingWindow(1, 1));
+  EXPECT_NO_THROW(AdaptiveSlidingWindow(1, 1));
+}
+
 TEST(IncrementalRuleset, ActiveRulesTrackThresholdCrossingsAndDecay) {
   IncrementalRuleset strategy(1, /*half_life_pairs=*/1'000.0, 3.0);
   strategy.bootstrap(block_of(1, 100, 2, 0));

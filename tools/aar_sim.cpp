@@ -61,6 +61,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -119,6 +120,19 @@ struct Options {
                        it->second + "'");
     }
     return value;
+  }
+  /// A positive count that fits `T`: 1 <= value <= the maximum of T.  A
+  /// wider value used to be cast down silently (--period 4294967297 ran
+  /// lazy(1)), and 0 ran a degenerate strategy.
+  template <typename T>
+  [[nodiscard]] T positive(const std::string& key, T fallback) const {
+    const std::uint64_t value = num(key, fallback);
+    if (value < 1 || value > std::numeric_limits<T>::max()) {
+      throw UsageError("--" + key + " needs an integer in [1, " +
+                       std::to_string(std::numeric_limits<T>::max()) +
+                       "], got '" + get(key, "") + "'");
+    }
+    return static_cast<T>(value);
   }
   /// A probability or share: the whole value must be a number in [0, 1].
   [[nodiscard]] double fraction(const std::string& key, double fallback) const {
@@ -285,19 +299,30 @@ std::vector<trace::QueryReplyPair> load_or_generate(const Options& options) {
   return generator.generate_pairs((blocks + 1) * config.block_size);
 }
 
+/// The strategy flags of `run` and `compare`, range-checked up front.
+struct StrategyParams {
+  std::uint32_t min_support;
+  std::uint32_t period;
+  std::size_t history;
+};
+
+StrategyParams strategy_params(const Options& options) {
+  return {.min_support = options.positive<std::uint32_t>("min-support", 10),
+          .period = options.positive<std::uint32_t>("period", 10),
+          .history = options.positive<std::size_t>("history", 10)};
+}
+
 std::unique_ptr<core::Strategy> make_strategy(const std::string& name,
-                                              const Options& options) {
-  const auto min_support =
-      static_cast<std::uint32_t>(options.num("min-support", 10));
+                                              const StrategyParams& params) {
+  const std::uint32_t min_support = params.min_support;
   if (name == "static") return std::make_unique<core::StaticRuleset>(min_support);
   if (name == "sliding") return std::make_unique<core::SlidingWindow>(min_support);
   if (name == "lazy") {
-    return std::make_unique<core::LazySlidingWindow>(
-        min_support, static_cast<std::uint32_t>(options.num("period", 10)));
+    return std::make_unique<core::LazySlidingWindow>(min_support, params.period);
   }
   if (name == "adaptive") {
-    return std::make_unique<core::AdaptiveSlidingWindow>(
-        min_support, static_cast<std::size_t>(options.num("history", 10)));
+    return std::make_unique<core::AdaptiveSlidingWindow>(min_support,
+                                                         params.history);
   }
   if (name == "incremental") {
     return std::make_unique<core::IncrementalRuleset>(min_support);
@@ -357,7 +382,8 @@ int cmd_generate(const Options& options) {
 
 int cmd_run(const Options& options) {
   const std::string name = options.get("strategy", "");
-  std::unique_ptr<core::Strategy> strategy = make_strategy(name, options);
+  std::unique_ptr<core::Strategy> strategy =
+      make_strategy(name, strategy_params(options));
   if (strategy == nullptr) return usage();
   const auto block_size =
       static_cast<std::size_t>(options.num("block-size", 10'000));
@@ -428,6 +454,7 @@ int cmd_run(const Options& options) {
 }
 
 int cmd_compare(const Options& options) {
+  const StrategyParams params = strategy_params(options);
   const auto block_size =
       static_cast<std::size_t>(options.num("block-size", 10'000));
   const bool streamed =
@@ -445,7 +472,7 @@ int cmd_compare(const Options& options) {
                                        "adaptive", "incremental", "streaming"};
   std::vector<core::SimulationResult> results(names.size());
   auto sweep_one = [&](std::size_t i) {
-    std::unique_ptr<core::Strategy> strategy = make_strategy(names[i], options);
+    std::unique_ptr<core::Strategy> strategy = make_strategy(names[i], params);
     if (streamed) {
       store::StoreBlockSource source(*reader);  // fresh pass over the file
       results[i] = core::run_trace_simulation(*strategy, source, block_size);
@@ -558,8 +585,7 @@ struct RuleRow {
 int cmd_rules(const Options& options) {
   const auto pairs = load_or_generate(options);
   const auto window = static_cast<std::size_t>(options.num("window", 10'000));
-  const auto min_support =
-      static_cast<std::uint32_t>(options.num("min-support", 10));
+  const auto min_support = options.positive<std::uint32_t>("min-support", 10);
   const double min_confidence = options.fraction("min-confidence", 0.0);
   const auto top = static_cast<std::size_t>(options.num("top", 0));
 

@@ -52,8 +52,7 @@ struct BlockMeasures {
 /// across blocks.  Each slot carries the generation of the block that wrote
 /// it, so begin_block() forgets the previous block's queries in O(1) and a
 /// steady-state block allocates nothing.  The caller owns the table (one per
-/// Strategy, one per par::ShardExecutor shard), so concurrent evaluations
-/// never share one.
+/// Strategy), so concurrent evaluations never share one.
 class GuidStates {
  public:
   static constexpr std::uint32_t kCovered = 1;     ///< counted toward n

@@ -1,7 +1,7 @@
 #pragma once
-// Canonical shard-window merge for live mining (docs/NODE.md, aar::par
-// shape).  aar::par proved that replace_window over per-shard ShardCounts
-// merged in canonical shard order is byte-identical to the serial miner;
+// Canonical shard-window merge for live mining (docs/NODE.md).
+// replace_window over per-shard ShardCounts, merged in canonical shard
+// order, is byte-identical to the serial miner (test_par_shard_merge.cpp);
 // WindowMerger packages that recipe for callers whose shards hold *window
 // pairs* rather than a replayed block: gather each shard's pairs, impose
 // the canonical order (capture time, then GUID — pair times are globally

@@ -1,13 +1,20 @@
-#include "util/rng.hpp"
 #include "gnutella/codec.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
+
 namespace aar::gnutella {
 
 namespace {
+
+using util::get_u16;
+using util::get_u32;
+using util::put_u16;
+using util::put_u32;
 
 /// A NUL-terminated wire string must not itself contain NUL: the parser
 /// would stop at the embedded one and the frame would round-trip lossily
@@ -17,28 +24,6 @@ void require_no_nul(const std::string& text, const char* what) {
     throw std::invalid_argument(std::string(what) +
                                 " contains an embedded NUL");
   }
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t value) {
-  out.push_back(static_cast<std::uint8_t>(value & 0xff));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> bytes) {
-  return static_cast<std::uint16_t>(bytes[0] | (bytes[1] << 8));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> bytes) {
-  return static_cast<std::uint32_t>(bytes[0]) |
-         (static_cast<std::uint32_t>(bytes[1]) << 8) |
-         (static_cast<std::uint32_t>(bytes[2]) << 16) |
-         (static_cast<std::uint32_t>(bytes[3]) << 24);
 }
 
 std::vector<std::uint8_t> serialize_payload(const Message& message) {
@@ -99,14 +84,14 @@ ParseError parse_payload(Message& message,
       return ParseError::kNone;  // any payload tolerated (GGEP extensions)
     case MessageType::kPong:
       if (payload.size() < Pong::kSize) return ParseError::kMalformedPayload;
-      message.pong.port = get_u16(payload.subspan(0));
-      message.pong.ip = get_u32(payload.subspan(2));
-      message.pong.shared_files = get_u32(payload.subspan(6));
-      message.pong.shared_kb = get_u32(payload.subspan(10));
+      message.pong.port = get_u16(payload.subspan(0, 2).data());
+      message.pong.ip = get_u32(payload.subspan(2, 4).data());
+      message.pong.shared_files = get_u32(payload.subspan(6, 4).data());
+      message.pong.shared_kb = get_u32(payload.subspan(10, 4).data());
       return ParseError::kNone;
     case MessageType::kQuery: {
       if (payload.size() < 3) return ParseError::kMalformedPayload;
-      message.query.min_speed = get_u16(payload.subspan(0));
+      message.query.min_speed = get_u16(payload.subspan(0, 2).data());
       const auto text = payload.subspan(2);
       const auto nul = std::find(text.begin(), text.end(), std::uint8_t{0});
       if (nul == text.end()) return ParseError::kMalformedPayload;
@@ -117,16 +102,16 @@ ParseError parse_payload(Message& message,
       if (payload.size() < 11 + 16) return ParseError::kMalformedPayload;
       const std::size_t count = payload[0];
       QueryHit& hit = message.query_hit;
-      hit.port = get_u16(payload.subspan(1));
-      hit.ip = get_u32(payload.subspan(3));
-      hit.speed = get_u32(payload.subspan(7));
+      hit.port = get_u16(payload.subspan(1, 2).data());
+      hit.ip = get_u32(payload.subspan(3, 4).data());
+      hit.speed = get_u32(payload.subspan(7, 4).data());
       std::size_t cursor = 11;
       hit.results.clear();
       for (std::size_t i = 0; i < count; ++i) {
         if (cursor + 8 >= payload.size()) return ParseError::kMalformedPayload;
         HitResult result;
-        result.file_index = get_u32(payload.subspan(cursor));
-        result.file_size = get_u32(payload.subspan(cursor + 4));
+        result.file_index = get_u32(payload.subspan(cursor, 4).data());
+        result.file_size = get_u32(payload.subspan(cursor + 4, 4).data());
         cursor += 8;
         const auto rest = payload.subspan(cursor);
         const auto nul = std::find(rest.begin(), rest.end(), std::uint8_t{0});
@@ -190,7 +175,7 @@ ParseResult parse(std::span<const std::uint8_t> bytes) {
   const std::uint8_t raw_type = bytes[16];
   header.ttl = bytes[17];
   header.hops = bytes[18];
-  header.payload_length = get_u32(bytes.subspan(19));
+  header.payload_length = get_u32(bytes.subspan(19, 4).data());
   if (!is_known_type(raw_type)) {
     result.error = ParseError::kUnknownType;
     result.consumed = Header::kSize;  // caller may resync past the payload
@@ -267,15 +252,6 @@ std::optional<Message> FrameDecoder::next() {
         break;
     }
   }
-}
-
-std::uint64_t fold_guid(const WireGuid& guid) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a 64
-  for (std::uint8_t byte : guid) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 WireGuid make_wire_guid(std::uint64_t seed) noexcept {

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
+
 namespace aar::gnutella {
 
 /// 16-byte wire GUID ("globally unique" — the paper found otherwise).
@@ -89,7 +91,9 @@ struct Message {
 /// (FNV-1a over the bytes; collision probability is negligible at trace
 /// scale and duplicates in the capture are *by definition* duplicated wire
 /// GUIDs, which collapse identically).
-[[nodiscard]] std::uint64_t fold_guid(const WireGuid& guid) noexcept;
+[[nodiscard]] inline std::uint64_t fold_guid(const WireGuid& guid) noexcept {
+  return util::fnv1a(guid);
+}
 
 /// Build a wire GUID from a 64-bit seed (test and generator convenience).
 [[nodiscard]] WireGuid make_wire_guid(std::uint64_t seed) noexcept;

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "lsm/format.hpp"
-#include "store/format.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::lsm {
 
@@ -76,8 +76,8 @@ class Bloom {
 
   [[nodiscard]] std::string serialize() const {
     std::string out;
-    store::put_u32(out, hashes_);
-    store::put_u32(out, bits_);
+    util::put_u32(out, hashes_);
+    util::put_u32(out, bits_);
     out += data_;
     return out;
   }
@@ -87,8 +87,8 @@ class Bloom {
     if (bytes.size() < 8) throw CorruptBlock("lsm bloom: short payload");
     const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
     Bloom bloom;
-    bloom.hashes_ = store::get_u32(raw);
-    bloom.bits_ = store::get_u32(raw + 4);
+    bloom.hashes_ = util::get_u32(raw);
+    bloom.bits_ = util::get_u32(raw + 4);
     if (bloom.hashes_ == 0 || bloom.hashes_ > 16 || bloom.bits_ == 0 ||
         bytes.size() != 8 + (static_cast<std::size_t>(bloom.bits_) + 7) / 8) {
       throw CorruptBlock("lsm bloom: inconsistent geometry");

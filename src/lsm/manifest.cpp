@@ -11,7 +11,7 @@
 #include <system_error>
 
 #include "lsm/fault.hpp"
-#include "store/format.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::lsm {
 
@@ -95,7 +95,7 @@ std::string encode_manifest(const Manifest& manifest) {
   std::string out = body.str();
   char crc_line[32];
   std::snprintf(crc_line, sizeof crc_line, "crc %08" PRIx32,
-                store::crc32(out.data(), out.size()));
+                util::crc32(out.data(), out.size()));
   out += crc_line;
   out += '\n';
   return out;
@@ -113,7 +113,7 @@ bool decode_manifest(std::string_view bytes, Manifest& out) {
   if (std::sscanf(std::string(crc_line).c_str(), "crc %8x", &declared) != 1) {
     return false;
   }
-  if (store::crc32(body.data(), body.size()) != declared) return false;
+  if (util::crc32(body.data(), body.size()) != declared) return false;
 
   Manifest parsed;
   std::istringstream in{std::string(body)};

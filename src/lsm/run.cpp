@@ -10,18 +10,18 @@
 #include <system_error>
 
 #include "lsm/fault.hpp"
-#include "store/format.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::lsm {
 
 namespace {
 
-using store::crc32;
-using store::get_u32;
-using store::get_u64;
-using store::put_u32;
-using store::put_u64;
-using store::put_varint;
+using util::crc32;
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
+using util::put_varint;
 
 constexpr char kHeaderMagic[8] = {'a', 'a', 'r', 'L', 'S', 'M', 'r', '1'};
 constexpr char kFooterMagic[8] = {'a', 'a', 'r', 'L', 'S', 'M', 'e', '1'};
@@ -264,7 +264,7 @@ std::shared_ptr<RunReader> RunReader::open(const std::string& path,
       Bloom::deserialize(read_meta_block(fd.fd, path, filter_offset, filter_size));
 
   const std::string index = read_meta_block(fd.fd, path, index_offset, index_size);
-  store::ByteReader reader(
+  util::ByteReader reader(
       reinterpret_cast<const unsigned char*>(index.data()), index.size());
   std::uint64_t block_count = 0;
   try {
@@ -277,7 +277,7 @@ std::shared_ptr<RunReader> RunReader::open(const std::string& path,
       handle.last_key = reader.u64();
       run->index_.push_back(handle);
     }
-  } catch (const std::runtime_error&) {
+  } catch (const CorruptBlock&) {
     throw CorruptBlock("lsm run " + path + ": truncated index");
   }
   std::uint64_t expected_offset = sizeof kHeaderMagic;

@@ -8,30 +8,15 @@
 
 namespace aar::overlay {
 
-namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-}  // namespace
+using util::put_u32;
+using util::put_u64;
 
 void append_outcome(std::vector<std::uint8_t>& out, const SearchOutcome& o) {
-  put_u8(out, o.hit ? 1 : 0);
-  put_u8(out, o.timed_out ? 1 : 0);
-  put_u8(out, o.degraded_to_flood ? 1 : 0);
-  put_u8(out, o.used_fallback ? 1 : 0);
-  put_u8(out, o.rule_routed ? 1 : 0);
+  out.push_back(o.hit ? 1 : 0);
+  out.push_back(o.timed_out ? 1 : 0);
+  out.push_back(o.degraded_to_flood ? 1 : 0);
+  out.push_back(o.used_fallback ? 1 : 0);
+  out.push_back(o.rule_routed ? 1 : 0);
   put_u32(out, o.hops_to_first_hit);
   put_u32(out, o.replicas_found);
   put_u32(out, o.nodes_reached);
@@ -43,15 +28,6 @@ void append_outcome(std::vector<std::uint8_t>& out, const SearchOutcome& o) {
   put_u64(out, o.elapsed_stamps);
   put_u32(out, static_cast<std::uint32_t>(o.retry_stamps.size()));
   for (std::uint64_t stamp : o.retry_stamps) put_u64(out, stamp);
-}
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 PolicyFactory scenario_policy_factory(const std::string& name) {

@@ -12,6 +12,7 @@
 
 #include "overlay/policy.hpp"
 #include "overlay/search.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::overlay {
 
@@ -58,8 +59,10 @@ struct FaultRunResult {
 /// individual outcomes against streams.
 void append_outcome(std::vector<std::uint8_t>& out, const SearchOutcome& o);
 
-/// FNV-1a 64-bit over a byte span (offset-basis seeded).
-[[nodiscard]] std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes);
+/// FNV-1a 64-bit over a byte span (offset-basis seeded): util::fnv1a.
+[[nodiscard]] inline std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  return util::fnv1a(bytes);
+}
 
 /// Policy factory for a scenario `policy` name: "flooding", "shortcuts",
 /// or "association" (throws std::runtime_error otherwise).

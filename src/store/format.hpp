@@ -1,5 +1,5 @@
 #pragma once
-// On-disk "aartr" binary trace format — shared constants and primitives.
+// On-disk "aartr" binary trace format — shared constants.
 //
 // The paper's pipeline ran off a 2.6 GB MySQL database; our CSV substitute
 // pays parse cost on every run and needs the whole trace in RAM.  aartr is
@@ -16,13 +16,11 @@
 //   trailer  20 B   u64 footer_offset | u32 footer CRC32 | end magic
 //
 // Chunks decode independently (each restarts its delta chains), which is
-// what gives the reader O(1) seek to any chunk via the footer index.
+// what gives the reader O(1) seek to any chunk via the footer index.  The
+// integer, varint, zigzag and CRC32 encodings are util/bytes.hpp's.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string>
 
 namespace aar::store {
 
@@ -39,105 +37,5 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kHeaderSize = 32;
 constexpr std::size_t kTrailerSize = 20;
 constexpr std::uint32_t kDefaultChunkRecords = 16'384;
-
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320).  `seed` chains
-/// incremental updates: crc32(b, crc32(a)) == crc32(a+b).
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
-                                  std::uint32_t seed = 0) noexcept;
-
-// --- little-endian integer append / read ----------------------------------
-
-void put_u32(std::string& out, std::uint32_t value);
-void put_u64(std::string& out, std::uint64_t value);
-
-// memcpy compiles to a single (byte-swapped on BE hosts) load; a manual
-// byte-shift loop does not — gcc keeps it as 8 loads, which dominates the
-// varint and CRC hot paths.
-[[nodiscard]] inline std::uint32_t get_u32(const unsigned char* p) noexcept {
-  std::uint32_t value;
-  std::memcpy(&value, p, sizeof value);
-  if constexpr (std::endian::native == std::endian::big) {
-    value = __builtin_bswap32(value);
-  }
-  return value;
-}
-
-[[nodiscard]] inline std::uint64_t get_u64(const unsigned char* p) noexcept {
-  std::uint64_t value;
-  std::memcpy(&value, p, sizeof value);
-  if constexpr (std::endian::native == std::endian::big) {
-    value = __builtin_bswap64(value);
-  }
-  return value;
-}
-
-// --- LEB128 varints and zigzag signed mapping ------------------------------
-
-void put_varint(std::string& out, std::uint64_t value);
-
-[[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t value) noexcept {
-  return (static_cast<std::uint64_t>(value) << 1) ^
-         static_cast<std::uint64_t>(value >> 63);
-}
-[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t value) noexcept {
-  return static_cast<std::int64_t>((value >> 1) ^ (~(value & 1) + 1));
-}
-
-/// Bounds-checked sequential decoder over a chunk payload.  Overruns and
-/// over-long varints throw std::runtime_error — CRC framing catches random
-/// corruption first, so a throw here means a logic/format error.
-/// varint() is the hottest loop in trace decode: the single-byte case (most
-/// host/file-id columns) is inlined, and when at least 10 bytes remain the
-/// continuation loop runs without per-byte bounds checks.
-class ByteReader {
- public:
-  ByteReader(const unsigned char* data, std::size_t size) noexcept
-      : p_(data), end_(data + size) {}
-
-  [[nodiscard]] std::uint64_t varint() {
-    if (p_ != end_ && *p_ < 0x80u) return *p_++;
-    if (end_ - p_ >= 10) return varint_unchecked();
-    return varint_checked();
-  }
-
-  /// Branchless decode of a <= 8-byte varint given >= 10 readable bytes: find
-  /// the terminator byte with countr_zero over the inverted continuation
-  /// bits, mask off the consumed bytes, then compact the 7-bit groups with
-  /// three shift/mask rounds.  Long (9-10 byte) varints fall through to the
-  /// byte-wise tail — rare since only the timestamp delta column can produce
-  /// them.
-  [[nodiscard]] std::uint64_t varint_unchecked() {
-    const std::uint64_t w = get_u64(p_);
-    const std::uint64_t stops = ~w & 0x8080808080808080ull;
-    if (stops != 0) [[likely]] {
-      p_ += std::countr_zero(stops) / 8 + 1;
-      const std::uint64_t lsb = stops & (0 - stops);
-      std::uint64_t x = w & ((lsb << 1) - 1) & 0x7f7f7f7f7f7f7f7full;
-      x = (x & 0x007f007f007f007full) | ((x & 0x7f007f007f007f00ull) >> 1);
-      x = (x & 0x00003fff00003fffull) | ((x & 0x3fff00003fff0000ull) >> 2);
-      x = (x & 0x000000000fffffffull) | ((x & 0x0fffffff00000000ull) >> 4);
-      return x;
-    }
-    return varint_long(w);
-  }
-
-  /// Fixed-width little-endian u64 (the GUID column).
-  [[nodiscard]] std::uint64_t u64() {
-    if (end_ - p_ < 8) fail_truncated();
-    const std::uint64_t value = get_u64(p_);
-    p_ += 8;
-    return value;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return p_ == end_; }
-
- private:
-  [[nodiscard]] std::uint64_t varint_long(std::uint64_t w);
-  [[nodiscard]] std::uint64_t varint_checked();
-  [[noreturn]] static void fail_truncated();
-
-  const unsigned char* p_;
-  const unsigned char* end_;
-};
 
 }  // namespace aar::store

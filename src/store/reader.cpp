@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/registry.hpp"
+#include "util/bytes.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define AAR_STORE_HAVE_MMAP 1
@@ -16,6 +17,12 @@
 namespace aar::store {
 
 namespace {
+
+using util::ByteReader;
+using util::crc32;
+using util::get_u32;
+using util::get_u64;
+using util::unzigzag;
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("aartr: " + path + ": " + what);

@@ -3,9 +3,17 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
+
 namespace aar::store {
 
 namespace {
+
+using util::crc32;
+using util::put_u32;
+using util::put_u64;
+using util::put_varint;
+using util::zigzag;
 
 /// Append the zigzag varint of `bits - prev` and advance the delta chain.
 /// Timestamps are monotone doubles, whose IEEE-754 bit patterns are monotone

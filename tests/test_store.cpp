@@ -14,9 +14,15 @@
 #include "store/writer.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::store {
 namespace {
+
+using util::ByteReader;
+using util::crc32;
+using util::unzigzag;
+using util::zigzag;
 
 using trace::QueryRecord;
 using trace::QueryReplyPair;
@@ -65,24 +71,111 @@ TEST(StoreFormat, ZigzagRoundTrips) {
   EXPECT_EQ(zigzag(1), 2u);
 }
 
+const unsigned char* bytes_of(const std::string& buffer) {
+  return reinterpret_cast<const unsigned char*>(buffer.data());
+}
+
 TEST(StoreFormat, VarintRoundTrips) {
+  constexpr std::uint64_t kNine = std::uint64_t{1} << 56;  // 9-byte varint
+  constexpr std::uint64_t kTen = std::uint64_t{1} << 63;   // 10-byte varint
   std::string buffer;
   const std::vector<std::uint64_t> values{
-      0, 1, 127, 128, 300, 16'383, 16'384,
+      0, 1, 127, 128, 300, 16'383, 16'384, kNine, kTen,
       std::numeric_limits<std::uint64_t>::max()};
-  for (const std::uint64_t v : values) put_varint(buffer, v);
-  ByteReader cursor(reinterpret_cast<const unsigned char*>(buffer.data()),
-                    buffer.size());
+  for (const std::uint64_t v : values) util::put_varint(buffer, v);
+  // Followed by 10+ bytes: the long values decode on the unchecked path.
+  buffer.append(10, '\x01');
+  ByteReader cursor(bytes_of(buffer), buffer.size());
   for (const std::uint64_t v : values) EXPECT_EQ(cursor.varint(), v);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(cursor.varint(), 1u);
   EXPECT_TRUE(cursor.done());
+
+  // As the stream's tail.  A 9-byte varint has fewer than 10 bytes left and
+  // takes the checked path; a complete 10-byte one always has 10 left.
+  for (const std::uint64_t v :
+       {kNine, kNine + 12'345, kTen, std::numeric_limits<std::uint64_t>::max()}) {
+    std::string tail;
+    util::put_varint(tail, v);
+    ByteReader reader(bytes_of(tail), tail.size());
+    EXPECT_EQ(reader.varint(), v);
+    EXPECT_TRUE(reader.done());
+  }
+
+  // Little-endian fixed widths, identical on both sink types.
+  std::string text;
+  std::vector<std::uint8_t> wire;
+  util::put_u16(text, 0x0201);
+  util::put_u32(text, 0x06050403u);
+  util::put_u64(text, 0x0e0d0c0b0a090807ull);
+  util::put_u16(wire, 0x0201);
+  util::put_u32(wire, 0x06050403u);
+  util::put_u64(wire, 0x0e0d0c0b0a090807ull);
+  ASSERT_EQ(text.size(), 14u);
+  ASSERT_EQ(wire.size(), 14u);
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(text[i]), i + 1);
+    EXPECT_EQ(wire[i], i + 1);
+  }
+  EXPECT_EQ(util::get_u16(wire.data()), 0x0201u);
+  EXPECT_EQ(util::get_u32(wire.data() + 2), 0x06050403u);
+  EXPECT_EQ(util::get_u64(bytes_of(text) + 6), 0x0e0d0c0b0a090807ull);
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{0xfedcba98},
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    std::string t;
+    std::vector<std::uint8_t> w;
+    util::put_u16(t, static_cast<std::uint16_t>(v));
+    util::put_u32(t, static_cast<std::uint32_t>(v));
+    util::put_u64(t, v);
+    util::put_u16(w, static_cast<std::uint16_t>(v));
+    util::put_u32(w, static_cast<std::uint32_t>(v));
+    util::put_u64(w, v);
+    EXPECT_EQ(util::get_u16(bytes_of(t)), static_cast<std::uint16_t>(v));
+    EXPECT_EQ(util::get_u32(w.data() + 2), static_cast<std::uint32_t>(v));
+    EXPECT_EQ(util::get_u64(bytes_of(t) + 6), v);
+    EXPECT_EQ(util::get_u64(w.data() + 6), v);
+  }
 }
 
 TEST(StoreFormat, TruncatedVarintThrows) {
   std::string buffer;
   buffer.push_back(static_cast<char>(0x80));  // continuation with no tail
-  ByteReader cursor(reinterpret_cast<const unsigned char*>(buffer.data()),
-                    buffer.size());
+  ByteReader cursor(bytes_of(buffer), buffer.size());
   EXPECT_THROW((void)cursor.varint(), std::runtime_error);
+
+  // 11 bytes: ten continuation bytes, then a terminator.  With >= 10 bytes
+  // left it reaches the unchecked path, alone and with a tail behind it.
+  // The checked path only runs with < 10 bytes left, where the same bytes
+  // are a truncated varint.
+  const std::string over_long = std::string(10, '\xff') + '\x01';
+  for (const std::string& stream :
+       {over_long, over_long + std::string(16, '\x00'),
+        over_long.substr(0, 9)}) {
+    ByteReader reader(bytes_of(stream), stream.size());
+    EXPECT_THROW((void)reader.varint(), std::runtime_error) << stream.size();
+  }
+
+  // Every strict prefix of a valid u64 + varint stream is truncated.
+  for (const std::uint64_t v :
+       {std::uint64_t{300}, std::uint64_t{1} << 56,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string stream;
+    util::put_u64(stream, 0x0123456789abcdefull);
+    util::put_varint(stream, v);
+    ByteReader whole(bytes_of(stream), stream.size());
+    EXPECT_EQ(whole.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(whole.varint(), v);
+    EXPECT_TRUE(whole.done());
+    for (std::size_t size = 0; size < stream.size(); ++size) {
+      ByteReader prefix(bytes_of(stream), size);
+      EXPECT_THROW(
+          {
+            (void)prefix.u64();
+            (void)prefix.varint();
+          },
+          std::runtime_error)
+          << "prefix " << size << " of " << stream.size();
+    }
+  }
 }
 
 class PairRoundTrip : public StoreTest,

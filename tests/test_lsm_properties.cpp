@@ -33,6 +33,7 @@
 #include "mining/incremental_miner.hpp"
 #include "test_tmp.hpp"
 #include "trace/record.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace aar::lsm {
@@ -226,6 +227,45 @@ TEST(LsmBlockScanner, TruncatedTailStaysPendingAndCorruptionThrows) {
       scanner.feed(reinterpret_cast<const unsigned char*>(corrupt.data()),
                    corrupt.size(), out),
       CorruptBlock);
+}
+
+TEST(LsmBlockFind, RestartOffsetsRunningBackwardsAreCorrupt) {
+  // A CRC-valid frame a writer could not produce: entries out of key order
+  // (10, 30, 20) and restarts ordered by key, so the restart array runs
+  // backwards.  The lookup for 25 lands between restart 1 (key 20, the
+  // third entry) and restart 2 (key 30, an earlier offset).  It must name
+  // that, not scan from the third entry on into the restart array.
+  std::string payload;
+  std::vector<std::uint32_t> offsets;
+  for (const Key key : {Key{10}, Key{30}, Key{20}}) {
+    offsets.push_back(static_cast<std::uint32_t>(payload.size()));
+    util::put_varint(payload, 0);
+    util::put_varint(payload, 8);
+    for (int shift = 56; shift >= 0; shift -= 8) {
+      payload.push_back(static_cast<char>(key >> shift));
+    }
+    util::put_varint(payload, util::zigzag(1));
+  }
+  for (const std::size_t i : {0u, 2u, 1u}) util::put_u32(payload, offsets[i]);
+  util::put_u32(payload, 3);
+  std::string frame;
+  util::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  util::put_u32(frame, 3);
+  frame += payload;
+  util::put_u32(frame, util::crc32(payload.data(), payload.size()));
+
+  const auto* data = reinterpret_cast<const unsigned char*>(frame.data());
+  std::int64_t count = 0;
+  EXPECT_TRUE(block_find(data, frame.size(), 10, count));
+  try {
+    (void)block_find(data, frame.size(), 25, count);
+    ADD_FAILURE() << "block_find accepted backwards restart offsets";
+  } catch (const CorruptBlock& error) {
+    EXPECT_STREQ(error.what(), "lsm block: restart offsets not ascending");
+  }
+  std::vector<Entry> out;
+  std::size_t consumed = 0;
+  EXPECT_THROW(decode_block(data, frame.size(), out, consumed), CorruptBlock);
 }
 
 // --- bloom filter ---------------------------------------------------------

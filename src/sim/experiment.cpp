@@ -5,6 +5,7 @@
 
 #include "overlay/assoc_policy.hpp"
 #include "overlay/topology.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::sim {
 
@@ -169,7 +170,7 @@ overlay::FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
       engine.churn(scenario.churn, scenario.attach);
     }
   }
-  result.outcome_hash = overlay::fnv1a(result.outcome_bytes);
+  result.outcome_hash = util::fnv1a(result.outcome_bytes);
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include "overlay/fault_experiment.hpp"
 #include "overlay/topology.hpp"
 #include "sim/experiment.hpp"
+#include "util/bytes.hpp"
 
 namespace aar::sim {
 
@@ -113,7 +114,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   }
   result.run_seconds = seconds_since(run_start);
 
-  result.outcome_hash = overlay::fnv1a(result.outcome_bytes);
+  result.outcome_hash = util::fnv1a(result.outcome_bytes);
   if (!config.record_outcomes) {
     result.outcome_bytes.clear();
     result.outcome_bytes.shrink_to_fit();

@@ -146,13 +146,9 @@ LSM_COUNTERS = {
 LSM_GAUGES = {"lsm.runs", "lsm.memtable_bytes", "lsm.entries_on_disk"}
 LSM_TIMERS = {"lsm.flush", "lsm.compaction"}
 
-# The mining.* family (docs/STORAGE.md "Miner spill path"): incremental
-# miner maintenance plus the spill/restore counters added with aar::lsm.
-MINING_COUNTERS = {
-    "mining.evictions",
-    "mining.spilled_antecedents",
-    "mining.restored_antecedents",
-}
+# The mining.* family (docs/OBSERVABILITY.md): incremental miner
+# maintenance.
+MINING_COUNTERS = {"mining.evictions"}
 MINING_GAUGES = {"mining.antecedents"}
 MINING_TIMERS = {"mining.snapshot"}
 
@@ -230,7 +226,7 @@ def check_metrics(doc, path):
     check_closed_family(doc, path, "lsm.", LSM_COUNTERS, LSM_GAUGES,
                         LSM_TIMERS, "docs/STORAGE.md")
     check_closed_family(doc, path, "mining.", MINING_COUNTERS, MINING_GAUGES,
-                        MINING_TIMERS, "docs/STORAGE.md")
+                        MINING_TIMERS, "docs/OBSERVABILITY.md")
 
 
 def check_bench(doc, path):

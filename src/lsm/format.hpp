@@ -4,8 +4,8 @@
 // The unit of storage is a *count entry*: a 64-bit key packing
 // (antecedent, consequent) around a signed count delta.  Entries merge by
 // addition — any two runs can be combined by summing per key, which is
-// what makes background compaction a pure streaming merge and lets the
-// miner spill negative corrections without read-modify-write.
+// what makes compaction a pure streaming merge and lets a caller write
+// negative corrections without read-modify-write.
 //
 // A block holds ascending-key entries under restart-point prefix
 // compression (the aartr chunk discipline of src/store/format.hpp applied

@@ -45,10 +45,11 @@ class Memtable {
   /// Append every buffered entry for `antecedent` (unsorted, raw sums).
   void collect_antecedent(HostId antecedent, std::vector<Entry>& out) const {
     if (!has_antecedent(antecedent)) return;
+    // Inclusive bound: begin + 2^32 wraps to 0 for the top antecedent.
     const Key begin = antecedent_begin(antecedent);
-    const Key end = begin + 0x100000000ull;
+    const Key last = begin | 0xffffffffull;
     for (const auto& [key, count] : map_) {
-      if (key >= begin && key < end) out.push_back(Entry{key, count});
+      if (key >= begin && key <= last) out.push_back(Entry{key, count});
     }
   }
 

@@ -49,19 +49,15 @@ void IncrementalRuleMiner::mark_dirty(HostId antecedent,
 }
 
 void IncrementalRuleMiner::count(const QueryReplyPair& pair) {
-  restore_if_spilled(pair.source_host);
   AntecedentCounts& state = counts_.find_or_insert(pair.source_host);
   ++state.consequents.find_or_insert(pair.replying_neighbor);
   ++state.total;
-  state.last_touch = ++op_clock_;
   mark_dirty(pair.source_host, state);
 }
 
 void IncrementalRuleMiner::uncount(const QueryReplyPair& pair) {
-  restore_if_spilled(pair.source_host);
   AntecedentCounts* state = counts_.find(pair.source_host);
   assert(state != nullptr);
-  state->last_touch = ++op_clock_;
   // Queue before a potential erase: a fully evicted antecedent must still
   // reach the next snapshot so its rules disappear.
   mark_dirty(pair.source_host, *state);
@@ -121,7 +117,6 @@ std::size_t IncrementalRuleMiner::purge_host(HostId host) {
 void IncrementalRuleMiner::replace_window(
     std::span<const QueryReplyPair> block,
     std::span<ShardCounts* const> shards) {
-  discard_spilled();
   // Serial add(block) + evict_to(block.size()) marks dirty every antecedent
   // of the outgoing window (the current counts_ domain) and every antecedent
   // of the incoming block.  An antecedent present in both is queued twice
@@ -160,89 +155,12 @@ void IncrementalRuleMiner::replace_window(
 }
 
 void IncrementalRuleMiner::clear() {
-  discard_spilled();
   // Every antecedent that had rules must vanish from the next snapshot.
   counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
     mark_dirty(antecedent, state);
   });
   counts_.clear();
   window_.clear();
-}
-
-// ----------------------------------------------------------------- spill path
-
-std::size_t IncrementalRuleMiner::spill_cold(std::size_t max_resident) {
-  if (spill_ == nullptr || counts_.size() <= max_resident) return 0;
-  // Oldest-touch-first over the clean antecedents; (touch, id) ordering
-  // keeps the eviction sequence deterministic for a deterministic op
-  // sequence, which the spill differential tests rely on.
-  std::vector<std::pair<std::uint64_t, HostId>> order;
-  order.reserve(counts_.size());
-  counts_.for_each([&](HostId antecedent, const AntecedentCounts& state) {
-    if (!state.dirty) order.emplace_back(state.last_touch, antecedent);
-  });
-  std::sort(order.begin(), order.end());
-  const std::size_t excess = counts_.size() - max_resident;
-  const std::size_t evict = std::min(excess, order.size());
-  for (std::size_t i = 0; i < evict; ++i) {
-    const HostId antecedent = order[i].second;
-    AntecedentCounts* state = counts_.find(antecedent);
-    state->consequents.for_each(
-        [&](HostId consequent, std::uint32_t support) {
-          spill_->spill_add(antecedent, consequent, support);
-        });
-    counts_.erase(antecedent);
-    spilled_.find_or_insert(antecedent) = 1;
-  }
-  if (evict > 0) {
-    static obs::Counter& spilled_counter =
-        obs::Registry::global().counter("mining.spilled_antecedents");
-    spilled_counter.add(evict);
-  }
-  return evict;
-}
-
-void IncrementalRuleMiner::restore_if_spilled(HostId antecedent) {
-  if (spilled_.empty() || spilled_.find(antecedent) == nullptr) return;
-  spilled_.erase(antecedent);
-  assert(spill_ != nullptr);
-  // Bloom-then-run: a sink-level negative skips the read entirely.
-  if (spill_->spill_may_contain(antecedent)) {
-    spill_scratch_.clear();
-    spill_->spill_read(antecedent, spill_scratch_);
-    if (!spill_scratch_.empty()) {
-      AntecedentCounts& state = counts_.find_or_insert(antecedent);
-      for (const auto& [consequent, sum] : spill_scratch_) {
-        state.consequents.find_or_insert(consequent) +=
-            static_cast<std::uint32_t>(sum);
-        state.total += static_cast<std::uint32_t>(sum);
-        // Zero the sink copy so the counts live in exactly one place.
-        spill_->spill_add(antecedent, consequent, -sum);
-      }
-      // Restored counts are exactly what was spilled and the ruleset
-      // already reflects them — the antecedent comes back clean.
-    }
-  }
-  static obs::Counter& restored_counter =
-      obs::Registry::global().counter("mining.restored_antecedents");
-  restored_counter.add(1);
-}
-
-void IncrementalRuleMiner::discard_spilled() {
-  if (spilled_.empty()) return;
-  spilled_.for_each([&](HostId antecedent, std::uint8_t) {
-    if (spill_->spill_may_contain(antecedent)) {
-      spill_scratch_.clear();
-      spill_->spill_read(antecedent, spill_scratch_);
-      for (const auto& [consequent, sum] : spill_scratch_) {
-        spill_->spill_add(antecedent, consequent, -sum);
-      }
-    }
-    // The caller recounts from the window; the next snapshot must see
-    // this antecedent even though it no longer has a counts_ entry.
-    dirty_.push_back(antecedent);
-  });
-  spilled_.clear();
 }
 
 void IncrementalRuleMiner::rebuild_antecedent(HostId antecedent) {
@@ -292,7 +210,7 @@ const core::RuleSet& IncrementalRuleMiner::snapshot() {
   for (const HostId antecedent : dirty_) rebuild_antecedent(antecedent);
   dirty_.clear();
   ++snapshots_;
-  antecedent_gauge.set(static_cast<double>(counts_.size() + spilled_.size()));
+  antecedent_gauge.set(static_cast<double>(counts_.size()));
   evicted.add(evictions_ - evictions_reported_);
   evictions_reported_ = evictions_;
   return ruleset_;

@@ -36,11 +36,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/ruleset.hpp"
-#include "mining/spill.hpp"
 #include "trace/record.hpp"
 #include "util/flat_map.hpp"
 
@@ -93,9 +91,6 @@ struct AntecedentCounts {
   util::FlatCountMap<HostId, std::uint32_t> consequents;
   std::uint32_t total = 0;
   bool dirty = false;  ///< already queued in dirty_ for the next snapshot
-  /// Miner op-clock value of the last count/uncount touching this
-  /// antecedent — the recency order spill_cold() evicts by.
-  std::uint64_t last_touch = 0;
 };
 
 /// Pair counts kept outside a miner: the same (antecedent -> consequent ->
@@ -167,27 +162,6 @@ class IncrementalRuleMiner {
   /// churn since the previous snapshot.
   const core::RuleSet& snapshot();
 
-  /// Attach (or detach, with nullptr) the durable sink spill_cold()
-  /// evicts into.  Must be attached while any antecedent is spilled.
-  void attach_spill(SpillSink* sink) noexcept { spill_ = sink; }
-
-  /// Evict least-recently-touched *clean* antecedents into the attached
-  /// sink until at most `max_resident` remain in memory (dirty
-  /// antecedents never spill — their rules are not yet materialized).
-  /// A spilled antecedent's pairs stay in the window and its rules stay
-  /// in the snapshot; the sink state is a cache of its counts, restored
-  /// transparently on the next touch (bloom-then-run read) and
-  /// discarded — never double-counted — by the bulk recount paths
-  /// (clear / replace_window / purge_host).  Snapshots are byte-
-  /// identical with and without spilling (differential-tested).
-  /// Returns how many antecedents were spilled.
-  std::size_t spill_cold(std::size_t max_resident);
-
-  /// Antecedents currently living in the sink instead of memory.
-  [[nodiscard]] std::size_t spilled_antecedents() const noexcept {
-    return spilled_.size();
-  }
-
   /// The rule set produced by the most recent snapshot() — NOT the live
   /// counts.  Callers route against this between snapshots.
   [[nodiscard]] const core::RuleSet& ruleset() const noexcept {
@@ -203,9 +177,9 @@ class IncrementalRuleMiner {
     return window_.at(i);
   }
   /// Distinct antecedents currently in the window (counted, not yet
-  /// pruned), resident or spilled.
+  /// pruned).
   [[nodiscard]] std::size_t distinct_antecedents() const noexcept {
-    return counts_.size() + spilled_.size();
+    return counts_.size();
   }
   /// Antecedents queued for rebuild at the next snapshot (may rarely count
   /// one twice — see dirty_ below).
@@ -222,22 +196,10 @@ class IncrementalRuleMiner {
   void uncount(const QueryReplyPair& pair);
   void mark_dirty(HostId antecedent, AntecedentCounts& state);
   void rebuild_antecedent(HostId antecedent);
-  /// Pull a spilled antecedent's counts back into memory (zeroing the
-  /// sink copy) before a touch mutates them.
-  void restore_if_spilled(HostId antecedent);
-  /// Zero the sink copy of every spilled antecedent and queue it dirty —
-  /// the bulk recount paths rebuild from the window, so keeping the sink
-  /// cache would double-count on the next restore.
-  void discard_spilled();
 
   MinerConfig config_;
   PairRing window_;
   util::FlatCountMap<HostId, AntecedentCounts> counts_;
-  SpillSink* spill_ = nullptr;
-  /// Antecedents living in the sink.
-  util::FlatCountMap<HostId, std::uint8_t> spilled_;
-  std::uint64_t op_clock_ = 0;          ///< drives AntecedentCounts::last_touch
-  std::vector<std::pair<std::uint32_t, std::int64_t>> spill_scratch_;
   /// Antecedents queued for rebuild.  The in-struct `dirty` flag keeps the
   /// hot counting path to one hash lookup; an antecedent fully evicted and
   /// then re-added between snapshots can appear twice (rebuild is

@@ -120,6 +120,12 @@ TEST(CliUsage, ZeroBlockSizeIsRefused) {
   const std::string csv = aar::testing::unique_path("cli_zero.csv");
   EXPECT_EQ(run_sim("generate --pairs 100 --block-size 0 --out " + csv), 2);
   EXPECT_EQ(run_sim("run --strategy sliding --pairs 1000 --block-size 0"), 2);
+  // A zero aartr chunk size used to exit 0 and write one-record chunks.
+  ASSERT_EQ(run_sim("generate --pairs 100 --out " + csv), 0);
+  const std::string aartr = aar::testing::unique_path("cli_zero.aartr");
+  EXPECT_EQ(run_sim("convert --in " + csv + " --out " + aartr + " --chunk 0"),
+            2);
+  std::remove(aartr.c_str());
   std::remove(csv.c_str());
 }
 

@@ -11,28 +11,27 @@
 //     applied to lsm frames).
 //   * Bloom filter — zero false negatives ever; false-positive rate inside
 //     the banded expectation for 10 bits/key.
-//   * Miner spill differential — a miner spilling cold antecedents into a
-//     Store must snapshot byte-identical rules to a miner that never
-//     spills, across eviction, purge, and clear.
-//   * Background compaction — concurrent writers against the maintenance
-//     thread (the TSan target; see .github/workflows/ci.yml).
+//   * Antecedent reads at the host-id bounds — get_antecedent over the
+//     memtable and runs for ids 0 and 0xffffffff.
+//   * Concurrent writers and a reader — inline flush and compaction under
+//     contention, the way aar_node drives its archive (the TSan target;
+//     see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lsm/bloom.hpp"
 #include "lsm/format.hpp"
 #include "lsm/store.hpp"
-#include "mining/incremental_miner.hpp"
 #include "test_tmp.hpp"
-#include "trace/record.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -68,6 +67,19 @@ class ShadowMap {
   [[nodiscard]] std::int64_t get(HostId antecedent, HostId consequent) const {
     const auto it = map_.find(make_key(antecedent, consequent));
     return it == map_.end() ? 0 : it->second;
+  }
+
+  /// Store::get_antecedent's answer: nonzero sums, ascending consequent.
+  [[nodiscard]] std::vector<std::pair<HostId, std::int64_t>> row(
+      HostId antecedent) const {
+    std::vector<std::pair<HostId, std::int64_t>> out;
+    for (auto it = map_.lower_bound(antecedent_begin(antecedent));
+         it != map_.end() && key_antecedent(it->first) == antecedent; ++it) {
+      if (it->second != 0) {
+        out.emplace_back(key_consequent(it->first), it->second);
+      }
+    }
+    return out;
   }
 
  private:
@@ -138,6 +150,44 @@ TEST(LsmDifferential, ReopenedStoreServesTheFlushedState) {
   Store reopened(tmp.path("db"));
   EXPECT_EQ(reopened.dump_text(), shadow.dump_text());
   EXPECT_EQ(reopened.stats().recovered_from, "MANIFEST");
+}
+
+TEST(LsmDifferential, AntecedentReadsMatchShadowAtTheHostIdBounds) {
+  // The top id is trace::kNoHost, which aar_node's `archive` command
+  // accepts; its key range ends at the top of the key space.
+  ScopedTempDir tmp("aar_lsm_bounds");
+  const HostId ids[] = {0, 1, 0xfffffffe, 0xffffffff};
+  const auto read = [](const Store& store, HostId antecedent) {
+    std::vector<std::pair<HostId, std::int64_t>> out;
+    store.get_antecedent(antecedent, out);
+    return out;
+  };
+  Store store(tmp.path("db"), {.memtable_bytes = 1u << 20,
+                               .block_bytes = 64,
+                               .level_fanout = 2});
+  ShadowMap shadow;
+  util::Rng rng(4242);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const HostId a = ids[rng.below(4)];
+      const HostId c = ids[rng.below(4)];
+      const auto delta = static_cast<std::int64_t>(rng.below(7)) - 2;
+      store.add(a, c, delta);
+      shadow.add(a, c, delta);
+    }
+    // Memtable on top of the runs flushed by earlier rounds...
+    for (const HostId a : ids) {
+      ASSERT_EQ(read(store, a), shadow.row(a))
+          << "round " << round << " antecedent " << a << " before flush";
+    }
+    store.maintain();
+    // ...then runs alone, across levels once compaction has merged some.
+    for (const HostId a : ids) {
+      ASSERT_EQ(read(store, a), shadow.row(a))
+          << "round " << round << " antecedent " << a << " after flush";
+    }
+  }
+  EXPECT_GT(store.stats().compactions, 0u);
 }
 
 // --- block slicing invariance --------------------------------------------
@@ -310,105 +360,58 @@ TEST(LsmBloom, SerializationRoundTripsAndRejectsCorruption) {
       CorruptBlock);
 }
 
-// --- miner spill differential --------------------------------------------
+// --- concurrent writers and a reader (the TSan target) ------------------
 
-std::string snapshot_bytes(mining::IncrementalRuleMiner& miner) {
-  std::ostringstream out;
-  miner.snapshot().save(out);
-  return out.str();
-}
-
-trace::QueryReplyPair pair_at(std::uint32_t source, std::uint32_t neighbor,
-                              double time) {
-  trace::QueryReplyPair pair{};
-  pair.source_host = source;
-  pair.replying_neighbor = neighbor;
-  pair.query = source;
-  pair.time = time;
-  return pair;
-}
-
-TEST(LsmSpill, MinerSnapshotsAreByteIdenticalWithAndWithoutSpilling) {
-  ScopedTempDir tmp("aar_lsm_spill");
-  const mining::MinerConfig config{.window = 256, .min_support = 2};
-  mining::IncrementalRuleMiner plain(config);
-  mining::IncrementalRuleMiner spilling(config);
-  Store sink(tmp.path("sink"), {.memtable_bytes = 512});
-  spilling.attach_spill(&sink);
-
-  util::Rng rng(2024);
-  double clock = 0.0;
-  const auto step = [&](std::size_t pairs) {
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const auto source = static_cast<std::uint32_t>(1 + rng.below(40));
-      const auto neighbor = static_cast<std::uint32_t>(1 + rng.below(12));
-      const trace::QueryReplyPair pair = pair_at(source, neighbor, clock);
-      clock += 1.0;
-      plain.add(pair);
-      spilling.add(pair);
-      // spill_cold only evicts antecedents already captured by a snapshot
-      // (dirty ones still owe the ruleset a rebuild), so snapshot on a
-      // cadence — both miners, to keep them in lockstep — then spill
-      // aggressively: at most 8 antecedents stay resident, so most
-      // touches go through the restore path.
-      if (i % 16 == 15) {
-        ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-        spilling.spill_cold(8);
-      }
-    }
-    ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-    ASSERT_EQ(plain.distinct_antecedents(), spilling.distinct_antecedents());
-  };
-
-  step(400);  // window churn: evictions decrement restored counts
-  EXPECT_GT(sink.stats().flushes + sink.stats().memtable_entries, 0u);
-
-  // purge_host: a bulk recount path that must discard sink state.
-  plain.purge_host(5);
-  spilling.purge_host(5);
-  ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-  step(200);
-
-  // clear: the other bulk path.
-  plain.clear();
-  spilling.clear();
-  ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-  step(200);
-
-  EXPECT_GT(spilling.spilled_antecedents() + sink.stats().entries_on_disk,
-            0u);
-}
-
-// --- background compaction (the TSan target) ------------------------------
-
-TEST(LsmStoreThreads, BackgroundCompactionRacesWriters) {
-  ScopedTempDir tmp("aar_lsm_bg");
+TEST(LsmStoreThreads, InlineFlushAndCompactionRaceWritersAndAReader) {
+  // aar_node's pattern: every shard thread add()s into one store, so the
+  // flush and compaction a full memtable triggers run inline, under
+  // contention, while `archive` reads come in from the admin thread.
+  ScopedTempDir tmp("aar_lsm_threads");
+  constexpr HostId kThreads = 4;
+  constexpr int kPerThread = 3000;
+  // More keys per writer than a 1 KiB memtable holds, so every writer's
+  // own adds keep triggering flushes (and, every few, a compaction).
+  constexpr HostId kConsequents = 97;
   ShadowMap expected;
+  for (HostId t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      expected.add(t, static_cast<HostId>(i) % kConsequents, 1);
+    }
+  }
   {
-    StoreOptions options;
-    options.memtable_bytes = 1024;
-    options.background_compaction = true;
-    options.compaction_interval_ms = 1;
-    Store store(tmp.path("db"), options);
+    Store store(tmp.path("db"), {.memtable_bytes = 1024});
+    std::atomic<bool> writing{true};
+    std::thread reader([&] {
+      // Writers only add +1, so no sum a read returns may ever shrink.
+      std::map<Key, std::int64_t> seen;
+      std::vector<std::pair<HostId, std::int64_t>> row;
+      do {
+        for (HostId a = 0; a < kThreads; ++a) {
+          row.clear();
+          store.get_antecedent(a, row);
+          for (const auto& [c, sum] : row) {
+            std::int64_t& last = seen[make_key(a, c)];
+            ASSERT_GE(sum, last) << "antecedent " << a << " consequent " << c;
+            last = sum;
+          }
+        }
+      } while (writing.load());
+    });
     std::vector<std::thread> writers;
-    const int kThreads = 4;
-    const int kPerThread = 3000;
-    for (int t = 0; t < kThreads; ++t) {
+    for (HostId t = 0; t < kThreads; ++t) {
       writers.emplace_back([&store, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          store.add(static_cast<HostId>(t), static_cast<HostId>(i % 17), 1);
+          store.add(t, static_cast<HostId>(i) % kConsequents, 1);
         }
       });
     }
-    for (int t = 0; t < kThreads; ++t) {
-      for (int i = 0; i < kPerThread; ++i) {
-        expected.add(static_cast<HostId>(t), static_cast<HostId>(i % 17), 1);
-      }
-    }
     for (std::thread& w : writers) w.join();
-    store.flush();
+    writing = false;
+    reader.join();
+    EXPECT_GT(store.stats().compactions, 0u);
     EXPECT_EQ(store.dump_text(), expected.dump_text());
-  }  // dtor joins the compaction thread
+    store.flush();  // durable boundary for the reopen below
+  }
   Store reopened(tmp.path("db"));
   EXPECT_EQ(reopened.dump_text(), expected.dump_text());
 }

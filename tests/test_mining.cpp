@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -305,30 +304,6 @@ TEST(MinerBackedPolicy, RulesEqualBatchOverObservationWindow) {
 
 // --- replace_window with one counted table --------------------------------
 
-/// In-memory SpillSink: one running sum per (antecedent, consequent).
-class MapSpill final : public SpillSink {
- public:
-  void spill_add(std::uint32_t antecedent, std::uint32_t consequent,
-                 std::int64_t delta) override {
-    sums_[{antecedent, consequent}] += delta;
-  }
-  bool spill_may_contain(std::uint32_t antecedent) override {
-    const auto it = sums_.lower_bound({antecedent, 0});
-    return it != sums_.end() && it->first.first == antecedent;
-  }
-  void spill_read(
-      std::uint32_t antecedent,
-      std::vector<std::pair<std::uint32_t, std::int64_t>>& out) override {
-    for (auto it = sums_.lower_bound({antecedent, 0});
-         it != sums_.end() && it->first.first == antecedent; ++it) {
-      if (it->second > 0) out.emplace_back(it->first.second, it->second);
-    }
-  }
-
- private:
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> sums_;
-};
-
 /// Everything a snapshot publishes: rule bytes, eviction total, distinct
 /// antecedents and the mining.antecedents gauge it sets.
 struct Published {
@@ -360,49 +335,31 @@ std::vector<QueryReplyPair> random_block(util::Rng& rng, std::size_t n) {
 }
 
 TEST(IncrementalRuleMiner, OneTableReplaceWindowEqualsAddThenEvict) {
-  // Successive windows grow, shrink, repeat a size and empty out; with
-  // spilling on, cold antecedents sit in the sink when the window is
-  // replaced.
-  for (const bool spill : {false, true}) {
-    util::Rng rng(spill ? 71 : 70);
-    MapSpill replaced_sink;
-    MapSpill serial_sink;
-    IncrementalRuleMiner replaced({.window = 0, .min_support = 3});
-    IncrementalRuleMiner serial({.window = 0, .min_support = 3});
-    if (spill) {
-      replaced.attach_spill(&replaced_sink);
-      serial.attach_spill(&serial_sink);
-    }
-    ShardCounts table;
-    ShardCounts* const tables[] = {&table};
-    for (const std::size_t size : {1'500u, 400u, 2'500u, 2'500u, 0u, 900u}) {
-      const std::vector<QueryReplyPair> block = random_block(rng, size);
-      table.count(block);
-      replaced.replace_window(block, tables);
-      EXPECT_EQ(table.distinct_antecedents(), 0u);  // handed back cleared
-      serial.add(block);
-      serial.evict_to(block.size());
+  // Successive windows grow, shrink, repeat a size and empty out.
+  util::Rng rng(70);
+  IncrementalRuleMiner replaced({.window = 0, .min_support = 3});
+  IncrementalRuleMiner serial({.window = 0, .min_support = 3});
+  ShardCounts table;
+  ShardCounts* const tables[] = {&table};
+  for (const std::size_t size : {1'500u, 400u, 2'500u, 2'500u, 0u, 900u}) {
+    const std::vector<QueryReplyPair> block = random_block(rng, size);
+    table.count(block);
+    replaced.replace_window(block, tables);
+    EXPECT_EQ(table.distinct_antecedents(), 0u);  // handed back cleared
+    serial.add(block);
+    serial.evict_to(block.size());
 
-      const std::string context =
-          "spill=" + std::to_string(spill) + " size=" + std::to_string(size);
-      ASSERT_EQ(replaced.window_size(), serial.window_size()) << context;
-      const Published got = publish(replaced);
-      const Published want = publish(serial);
-      EXPECT_EQ(got.rules, want.rules) << context;
-      EXPECT_EQ(got.rules, saved(core::RuleSet::build(block, 3))) << context;
-      EXPECT_EQ(got.evictions, want.evictions) << context;
-      EXPECT_EQ(got.antecedents, want.antecedents) << context;
+    const std::string context = "size=" + std::to_string(size);
+    ASSERT_EQ(replaced.window_size(), serial.window_size()) << context;
+    const Published got = publish(replaced);
+    const Published want = publish(serial);
+    EXPECT_EQ(got.rules, want.rules) << context;
+    EXPECT_EQ(got.rules, saved(core::RuleSet::build(block, 3))) << context;
+    EXPECT_EQ(got.evictions, want.evictions) << context;
+    EXPECT_EQ(got.antecedents, want.antecedents) << context;
 #ifndef AAR_OBS_OFF
-      EXPECT_EQ(got.gauge, want.gauge) << context;
+    EXPECT_EQ(got.gauge, want.gauge) << context;
 #endif
-      if (spill && size > 0) {
-        EXPECT_GT(replaced.spill_cold(10), 0u) << context;
-        EXPECT_GT(serial.spill_cold(10), 0u) << context;
-        EXPECT_EQ(replaced.distinct_antecedents(),
-                  serial.distinct_antecedents())
-            << context;
-      }
-    }
   }
 }
 

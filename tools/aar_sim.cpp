@@ -399,7 +399,7 @@ int cmd_convert(const util::Cli& options) {
   const std::string out = options.get("out", "");
   const std::string kind = options.get("kind", "pairs");
   const auto chunk =
-      options.num<std::uint32_t>("chunk", store::kDefaultChunkRecords);
+      options.num<std::uint32_t>("chunk", store::kDefaultChunkRecords, 1);
 
   if (has_suffix(in, ".csv") && is_aartr(out)) {
     std::size_t records = 0;

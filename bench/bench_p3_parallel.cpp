@@ -15,9 +15,9 @@
 // threads" target only makes physical sense with cores to run on, so it
 // gates when hardware_concurrency ≥ 4, relaxes to ≥ 1.2x on 2–3 cores, and
 // on a single-core host (this repo's CI fallback) the gate becomes an
-// overhead bound instead: the 1-thread parallel engine — prefetch thread
-// and block copy, with the counting stage inline — must stay within 3x of
-// the serial replay.  At 2 or more threads the engine overlaps two stages
+// overhead bound instead: the 1-thread parallel engine — the serial loop
+// with the counting stage inline — must stay within 3x of the serial
+// replay.  At 2 or more threads the engine overlaps two stages
 // (one worker counts the next window while the caller evaluates), so 8
 // threads run exactly as 2 do.  The measured speedup is always recorded in
 // out/BENCH_p3_parallel.json either way, so multi-core runs of the same

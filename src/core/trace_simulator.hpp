@@ -69,24 +69,23 @@ struct SimulationResult {
 
 /// Knobs for run_parallel (docs/PARALLEL.md).  Every value is
 /// output-neutral: the replay's SimulationResult, RuleSet snapshots, and
-/// deterministic metrics are identical for any thread count or queue depth
-/// — only wall-clock time changes.
+/// deterministic metrics are identical for any thread count — only
+/// wall-clock time changes.
 struct ParallelConfig {
   /// Threads for evaluation and counting; 0 = hardware_concurrency.  At 2
   /// or more a worker counts each regenerated block while the caller
   /// evaluates it (the two stages are all there is to overlap, so more
   /// threads add nothing); at 1 the caller does both.
   std::size_t threads = 0;
-  /// Blocks the decode stage may buffer ahead of evaluation (>= 1).
-  std::size_t queue_depth = 2;
 };
 
 /// Object façade over the block-replay loop: one strategy, one block size,
 /// serial or parallel execution.  `run` is exactly run_trace_simulation;
-/// `run_parallel` counts the next rule set's window on a worker while the
-/// block is evaluated and overlaps store-side decode with both behind a
-/// bounded stage queue, with a bit-determinism contract against the serial
-/// path (docs/PARALLEL.md).
+/// `run_parallel` is the same call with a worker lent to the strategy, which
+/// counts the next rule set's window while the block is evaluated, under a
+/// bit-determinism contract against the serial path (docs/PARALLEL.md).
+/// Decode-ahead belongs to the block source (store::StoreBlockSource
+/// prefetches chunks on its own thread), so both paths pull it alike.
 ///
 /// run_parallel is defined in the aar::par layer (src/par/replay.cpp);
 /// link aar_par to use it.  The serial members live in aar_core, keeping

@@ -1,5 +1,7 @@
 #include "store/block_source.hpp"
 
+#include <algorithm>
+
 #include "obs/registry.hpp"
 
 namespace aar::store {
@@ -50,19 +52,16 @@ std::vector<trace::QueryReplyPair> StoreBlockSource::take_prefetched() {
   std::vector<trace::QueryReplyPair> chunk;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (slot_ready_) {
-      hits.add(1);
-    } else {
+    if (!slot_ready_) {
       waits.add(1);
       const obs::Timer::Scope stall = wait_timer.measure();
       slot_filled_.wait(lock, [this] { return slot_ready_; });
+    } else if (slot_error_ == nullptr) {
+      hits.add(1);
     }
-    if (slot_error_ != nullptr) {
-      const std::exception_ptr error = slot_error_;
-      slot_error_ = nullptr;
-      slot_ready_ = false;
-      std::rethrow_exception(error);
-    }
+    // The error stays in the slot and nothing more is scheduled, so every
+    // later call rethrows it rather than waiting for a chunk forever.
+    if (slot_error_ != nullptr) std::rethrow_exception(slot_error_);
     chunk = std::move(slot_);
     slot_.clear();
     slot_ready_ = false;
@@ -74,18 +73,30 @@ std::vector<trace::QueryReplyPair> StoreBlockSource::take_prefetched() {
 
 std::span<const trace::QueryReplyPair> StoreBlockSource::next_block(
     std::size_t block_size) {
-  if (consumed_ > 0) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
+  while (chunk_.size() - offset_ < block_size) {
+    if (offset_ < chunk_.size()) {
+      // The block straddles a chunk boundary: stitch the rest of this chunk
+      // and the head of the following ones into one buffer.
+      stitch_.assign(chunk_.begin() + static_cast<std::ptrdiff_t>(offset_),
+                     chunk_.end());
+      offset_ = chunk_.size();
+      while (stitch_.size() < block_size) {
+        if (chunks_taken_ == reader_.num_chunks()) return {};  // tail dropped
+        chunk_ = take_prefetched();
+        offset_ = std::min(block_size - stitch_.size(), chunk_.size());
+        stitch_.insert(stitch_.end(), chunk_.begin(),
+                       chunk_.begin() + static_cast<std::ptrdiff_t>(offset_));
+      }
+      return stitch_;
+    }
+    if (chunks_taken_ == reader_.num_chunks()) return {};
+    chunk_ = take_prefetched();
+    offset_ = 0;
   }
-  while (buffer_.size() < block_size && chunks_taken_ < reader_.num_chunks()) {
-    const auto chunk = take_prefetched();
-    buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  }
-  if (buffer_.size() < block_size) return {};
-  consumed_ = block_size;
-  return std::span<const trace::QueryReplyPair>(buffer_.data(), block_size);
+  const std::span<const trace::QueryReplyPair> block(chunk_.data() + offset_,
+                                                     block_size);
+  offset_ += block_size;
+  return block;
 }
 
 }  // namespace aar::store

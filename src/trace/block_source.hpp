@@ -5,9 +5,9 @@
 // (std::span).  BlockSource inverts that: the simulator *pulls* fixed-size
 // blocks and the producer decides where they come from — an in-memory table
 // (SpanBlockSource), a binary aartr file decoded chunk-by-chunk with
-// background prefetch (store::StoreBlockSource), or any future network /
-// generator-backed stream.  Memory stays bounded by one block plus whatever
-// the producer buffers.
+// background prefetch (store::StoreBlockSource, the replay's one
+// decode-ahead stage), or any future network / generator-backed stream.
+// Memory stays bounded by one block plus whatever the producer buffers.
 
 #include <cstddef>
 #include <span>

@@ -11,8 +11,7 @@
 //   * the final RuleSet snapshot, compared as serialized bytes,
 //   * the aar.metrics.v1 snapshot minus timers (wall-clock is excluded by
 //     contract; the store.prefetch_hits/waits split is timing-dependent and
-//     scrubbed, and par.*-only keys are scrubbed when comparing against a
-//     serial run that never touches them).
+//     scrubbed — nothing else is).
 
 #include "core/trace_simulator.hpp"
 
@@ -99,20 +98,12 @@ std::string metrics_json() {
 }
 
 /// Drop the timing-racy prefetch-hit/wait split (the SUM is deterministic,
-/// the split depends on thread scheduling) and, for serial-vs-parallel
-/// comparisons, every par.* metric (a serial run never touches them, so a
-/// prior parallel run in the same process leaves them behind at different
-/// values).  Metric values are flat integers or one-level objects, so a
-/// non-greedy scrub is exact against the single-line v1 layout.
-std::string scrub(std::string json, bool drop_par) {
+/// the split depends on thread scheduling).  Both are flat integer counters
+/// in the single-line v1 layout, so the scrub is exact.
+std::string scrub(std::string json) {
   static const std::regex prefetch(
       R"re("store\.prefetch_(hits|waits)":\d+,?)re");
   json = std::regex_replace(json, prefetch, "");
-  if (drop_par) {
-    static const std::regex par(
-        R"re("par\.[a-z_.]+":(\{[^{}]*\}|\d+),?)re");
-    json = std::regex_replace(json, par, "");
-  }
   static const std::regex dangling(R"re(,\})re");
   return std::regex_replace(json, dangling, "}");
 }
@@ -207,8 +198,7 @@ TEST_F(ParDifferentialTest, ParallelMatchesSerialInMemory) {
           << name << " threads=" << threads;
       EXPECT_EQ(parallel.ruleset_bytes, serial.ruleset_bytes)
           << name << " threads=" << threads;
-      EXPECT_EQ(scrub(parallel.metrics, /*drop_par=*/true),
-                scrub(serial.metrics, /*drop_par=*/true))
+      EXPECT_EQ(scrub(parallel.metrics), scrub(serial.metrics))
           << name << " threads=" << threads;
     }
   }
@@ -225,24 +215,21 @@ TEST_F(ParDifferentialTest, ParallelMatchesSerialStreamedStore) {
           << name << " threads=" << threads;
       EXPECT_EQ(parallel.ruleset_bytes, serial.ruleset_bytes)
           << name << " threads=" << threads;
-      EXPECT_EQ(scrub(parallel.metrics, /*drop_par=*/true),
-                scrub(serial.metrics, /*drop_par=*/true))
+      EXPECT_EQ(scrub(parallel.metrics), scrub(serial.metrics))
           << name << " threads=" << threads;
     }
   }
 }
 
 TEST_F(ParDifferentialTest, MetricsIdenticalAcrossThreadCounts) {
-  // Between parallel runs the par.* metrics themselves must agree too: only
-  // timers — already excluded — may differ with the thread count.
+  // Only timers — already excluded — may differ with the thread count.
   for (const std::string& name : strategy_names()) {
     const RunOutput baseline =
         run_once(name, pairs(), aartr_path(), SourceKind::memory, 1);
     for (const int threads : {2, 3, 8}) {
       const RunOutput other =
           run_once(name, pairs(), aartr_path(), SourceKind::memory, threads);
-      EXPECT_EQ(scrub(other.metrics, /*drop_par=*/false),
-                scrub(baseline.metrics, /*drop_par=*/false))
+      EXPECT_EQ(scrub(other.metrics), scrub(baseline.metrics))
           << name << " threads=" << threads;
     }
   }
@@ -289,29 +276,7 @@ TEST_F(ParDifferentialTest, RepeatedParallelRunsAreIdentical) {
       run_once("adaptive", pairs(), aartr_path(), SourceKind::memory, 8);
   EXPECT_EQ(first.result_bytes, second.result_bytes);
   EXPECT_EQ(first.ruleset_bytes, second.ruleset_bytes);
-  EXPECT_EQ(scrub(first.metrics, false), scrub(second.metrics, false));
-}
-
-TEST_F(ParDifferentialTest, QueueDepthIsOutputNeutral) {
-  const RunOutput baseline =
-      run_once("sliding", pairs(), aartr_path(), SourceKind::memory, -1);
-  for (const std::size_t threads : {1u, 2u}) {
-    for (const std::size_t depth : {1u, 4u}) {
-      obs::Registry::global().reset();
-      std::unique_ptr<Strategy> strategy = make_strategy("sliding");
-      TraceSimulator simulator(*strategy, kBlockSize);
-      ParallelConfig config;
-      config.threads = threads;
-      config.queue_depth = depth;
-      const SimulationResult result = simulator.run_parallel(pairs(), config);
-      EXPECT_EQ(encode(result), baseline.result_bytes)
-          << "threads=" << threads << " depth=" << depth;
-      std::ostringstream ruleset;
-      strategy->current_ruleset().save(ruleset);
-      EXPECT_EQ(ruleset.str(), baseline.ruleset_bytes)
-          << "threads=" << threads << " depth=" << depth;
-    }
-  }
+  EXPECT_EQ(scrub(first.metrics), scrub(second.metrics));
 }
 
 TEST_F(ParDifferentialTest, RunParallelValidatesLikeSerial) {

@@ -1,17 +1,20 @@
 // Property and stress tests for the aar::par building blocks: ShardCounts +
 // IncrementalRuleMiner::replace_window (one table swapped in, several
 // merged in the order given), a strategy counting on a lent worker while
-// it evaluates, and PrefetchBlockSource.  The differential end-to-end suite
-// lives in test_par_differential.cpp; here each piece is checked against
-// its serial ground truth in isolation (the "Par" suites run in the TSan
-// CI job).
+// it evaluates, and a decode error surfacing through run_parallel.  The
+// differential end-to-end suite lives in test_par_differential.cpp; here
+// each piece is checked against its serial ground truth in isolation (the
+// "Par" suites run in the TSan CI job).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/measures.hpp"
@@ -19,8 +22,11 @@
 #include "core/strategy.hpp"
 #include "core/trace_simulator.hpp"
 #include "mining/incremental_miner.hpp"
-#include "par/pipeline.hpp"
-#include "trace/block_source.hpp"
+#include "store/block_source.hpp"
+#include "store/format.hpp"
+#include "store/reader.hpp"
+#include "store/writer.hpp"
+#include "test_tmp.hpp"
 #include "trace/record.hpp"
 #include "util/parallel.hpp"
 
@@ -166,8 +172,8 @@ TEST(ParExecutor, MineMatchesSerialAddEvict) {
 }
 
 TEST(ParExecutor, ClampsDegenerateConfiguration) {
-  // threads 0 means hardware_concurrency and queue depth 0 clamps to 1;
-  // both still replay exactly the serial result.
+  // threads 0 means hardware_concurrency, and still replays exactly the
+  // serial result.
   const auto stream = random_stream(25, 6'000);
   core::SlidingWindow serial(2);
   const core::SimulationResult expect =
@@ -176,7 +182,6 @@ TEST(ParExecutor, ClampsDegenerateConfiguration) {
   core::TraceSimulator simulator(strategy, 1'000);
   core::ParallelConfig config;
   config.threads = 0;
-  config.queue_depth = 0;
   const core::SimulationResult got = simulator.run_parallel(stream, config);
   EXPECT_TRUE(std::ranges::equal(got.coverage.values(),
                                  expect.coverage.values()));
@@ -184,6 +189,45 @@ TEST(ParExecutor, ClampsDegenerateConfiguration) {
                                  expect.success.values()));
   EXPECT_EQ(strategy.current_ruleset(), serial.current_ruleset());
   EXPECT_EQ(strategy.worker(), nullptr);  // detached after the replay
+}
+
+TEST(ParExecutor, DecodeErrorSurfacesAndDetachesWorker) {
+  // The last chunk's CRC is corrupt, so the decode error arrives mid-replay,
+  // after the bootstrap and two tested blocks counted on the worker.
+  const aar::testing::ScopedTempDir dir;
+  const std::string path = dir.path("corrupt.aartr");
+  constexpr std::uint32_t kChunk = 500;
+  constexpr std::size_t kChunks = 4;
+  store::write_pairs_file(path, random_stream(34, kChunks * kChunk), kChunk);
+  {
+    // The last chunk's u32 CRC ends where the footer (u32 chunk count plus
+    // 12 B per chunk) and the trailer begin (docs/FORMAT.md).
+    const auto crc_byte = static_cast<std::streamoff>(
+        std::filesystem::file_size(path) - store::kTrailerSize -
+        (4 + 12 * kChunks) - 1);
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    char byte = 0;
+    file.seekg(crc_byte);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    file.seekp(crc_byte);
+    file.write(&byte, 1);
+  }
+  const store::Reader reader(path);
+  store::StoreBlockSource source(reader);
+  core::SlidingWindow strategy(2);
+  core::TraceSimulator simulator(strategy, kChunk);
+  core::ParallelConfig config;
+  config.threads = 2;
+  try {
+    (void)simulator.run_parallel(source, config);
+    ADD_FAILURE() << "replay of a corrupt chunk did not throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("chunk 3 CRC mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(strategy.worker(), nullptr);  // detached although the replay threw
 }
 
 TEST(ParExecutor, ThreadPoolSaturationStress) {
@@ -222,79 +266,6 @@ TEST(ParExecutor, ThreadPoolSaturationStress) {
     }
   }
   for (core::Strategy* strategy : overlapped) strategy->attach_worker(nullptr);
-}
-
-// ----------------------------------------------------------- pipeline
-
-TEST(ParPrefetch, YieldsExactlyTheInnerBlockSequence) {
-  const auto stream = random_stream(31, 5'000);
-  constexpr std::size_t kBlock = 700;
-  for (const std::size_t depth : {1u, 2u, 5u}) {
-    trace::SpanBlockSource inner(stream);
-    PrefetchBlockSource prefetch(inner, kBlock, depth);
-    trace::SpanBlockSource expect(stream);
-    while (true) {
-      const auto want = expect.next_block(kBlock);
-      const auto got = prefetch.next_block(kBlock);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i], want[i]);
-      }
-      if (want.empty()) break;
-    }
-    // Exhausted sources stay exhausted.
-    EXPECT_TRUE(prefetch.next_block(kBlock).empty());
-  }
-}
-
-TEST(ParPrefetch, MismatchedBlockSizeThrows) {
-  const auto stream = random_stream(32, 1'000);
-  trace::SpanBlockSource inner(stream);
-  PrefetchBlockSource prefetch(inner, 100);
-  EXPECT_THROW((void)prefetch.next_block(200), std::invalid_argument);
-}
-
-TEST(ParPrefetch, ZeroBlockSizeThrows) {
-  const auto stream = random_stream(33, 100);
-  trace::SpanBlockSource inner(stream);
-  EXPECT_THROW(PrefetchBlockSource(inner, 0), std::invalid_argument);
-}
-
-namespace {
-/// Inner source that fails after a few good blocks.
-class ThrowingSource final : public trace::BlockSource {
- public:
-  explicit ThrowingSource(std::span<const QueryReplyPair> pairs)
-      : inner_(pairs) {}
-  [[nodiscard]] std::span<const QueryReplyPair> next_block(
-      std::size_t block_size) override {
-    if (++calls_ > 2) throw std::runtime_error("decode failed");
-    return inner_.next_block(block_size);
-  }
-
- private:
-  trace::SpanBlockSource inner_;
-  int calls_ = 0;
-};
-}  // namespace
-
-TEST(ParPrefetch, ProducerErrorSurfacesToConsumer) {
-  const auto stream = random_stream(34, 2'000);
-  ThrowingSource inner(stream);
-  PrefetchBlockSource prefetch(inner, 500, 1);
-  EXPECT_FALSE(prefetch.next_block(500).empty());
-  EXPECT_FALSE(prefetch.next_block(500).empty());
-  EXPECT_THROW((void)prefetch.next_block(500), std::runtime_error);
-}
-
-TEST(ParPrefetch, DestructionWithUndrainedQueueDoesNotHang) {
-  const auto stream = random_stream(35, 10'000);
-  trace::SpanBlockSource inner(stream);
-  {
-    PrefetchBlockSource prefetch(inner, 500, 3);
-    (void)prefetch.next_block(500);  // producer is mid-stream with a full queue
-  }
-  SUCCEED();  // destructor unwound the stalled producer
 }
 
 }  // namespace

@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <memory>
 #include <random>
+#include <thread>
 
 #include "test_tmp.hpp"
 #include "store/block_source.hpp"
 #include "store/format.hpp"
 #include "store/writer.hpp"
+#include "trace/block_source.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/bytes.hpp"
@@ -363,22 +368,42 @@ TEST_F(StoreTest, SmallerThanCsv) {
 }
 
 TEST_F(StoreTest, BlockSourceYieldsWholeBlocksThenEmpty) {
-  const auto pairs = sample_pairs(1'000);
-  write_pairs_file(path("aar_s.aartr"), pairs, 128);
-  const Reader reader(path("aar_s.aartr"));
-  StoreBlockSource source(reader);
-  // 1000 pairs / 300-pair blocks = 3 whole blocks, 100-pair tail dropped.
-  std::size_t offset = 0;
-  for (int b = 0; b < 3; ++b) {
-    const auto block = source.next_block(300);
-    ASSERT_EQ(block.size(), 300u) << "block " << b;
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      EXPECT_EQ(block[i], pairs[offset + i]);
+  // Whole blocks come out as spans into a decoded chunk when they fit and
+  // are stitched when they straddle chunk boundaries; either way the
+  // sequence is exactly SpanBlockSource's, partial tail dropped.
+  struct Case {
+    std::size_t pairs;
+    std::uint32_t chunk;
+    std::size_t block;
+  };
+  for (const Case c : {
+           Case{1'050, 500, 100},  // block < chunk, never straddles; tail 50
+           Case{1'000, 300, 250},  // block < chunk, every other one straddles
+           Case{1'000, 300, 300},  // block == chunk; tail 100
+           Case{1'000, 128, 300},  // block spans three chunks; tail 100
+           Case{1'000, 300, 350},  // tail 300 dropped mid-stitch
+       }) {
+    const auto pairs = sample_pairs(c.pairs);
+    write_pairs_file(path("aar_s.aartr"), pairs, c.chunk);
+    const Reader reader(path("aar_s.aartr"));
+    StoreBlockSource source(reader);
+    trace::SpanBlockSource expect(pairs);
+    std::size_t blocks = 0;
+    for (;;) {
+      const auto want = expect.next_block(c.block);
+      const auto got = source.next_block(c.block);
+      ASSERT_EQ(got.size(), want.size())
+          << "chunk " << c.chunk << " block " << c.block << " #" << blocks;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "chunk " << c.chunk << " block " << c.block << " #" << blocks;
+      }
+      if (want.empty()) break;
+      ++blocks;
     }
-    offset += 300;
+    EXPECT_EQ(blocks, c.pairs / c.block);
+    EXPECT_TRUE(source.next_block(c.block).empty());  // stays exhausted
   }
-  EXPECT_TRUE(source.next_block(300).empty());
-  EXPECT_TRUE(source.next_block(300).empty());  // stays exhausted
 }
 
 TEST_F(StoreTest, BlockSourcePropagatesDecodeErrors) {
@@ -389,9 +414,26 @@ TEST_F(StoreTest, BlockSourcePropagatesDecodeErrors) {
   const char byte = 0x13;
   file.write(&byte, 1);
   file.close();
-  const Reader reader(path("aar_s.aartr"));
-  StoreBlockSource source(reader);
-  EXPECT_THROW((void)source.next_block(200), std::runtime_error);
+  const auto reader = std::make_shared<const Reader>(path("aar_s.aartr"));
+  const auto source = std::make_shared<StoreBlockSource>(*reader);
+  EXPECT_THROW((void)source->next_block(200), std::runtime_error);
+  // Every later call rethrows the same error rather than waiting for a
+  // chunk that is never scheduled.  The call runs on a thread that shares
+  // ownership of the source, so a hang fails the bounded wait (and the
+  // blocked thread is left behind) instead of stalling the suite.
+  std::packaged_task<void()> again(
+      [reader, source] { (void)source->next_block(200); });
+  std::future<void> done = again.get_future();
+  std::thread caller(std::move(again));
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (returned) {
+    caller.join();
+  } else {
+    caller.detach();
+  }
+  ASSERT_TRUE(returned) << "second next_block after a decode error hung";
+  EXPECT_THROW(done.get(), std::runtime_error);
 }
 
 TEST_F(StoreTest, BlockSourceRejectsNonPairStreams) {

@@ -176,6 +176,12 @@ Scenario parse_scenario(std::istream& in) {
   if (!magic_seen) {
     throw std::runtime_error("scenario: empty input (missing magic line)");
   }
+  // The Barabási–Albert overlay seeds a clique of attach + 1 peers.
+  if (scenario.attach == 0 || scenario.attach >= scenario.nodes) {
+    throw std::runtime_error("scenario: need 1 <= attach < nodes, got attach " +
+                             std::to_string(scenario.attach) + " with nodes " +
+                             std::to_string(scenario.nodes));
+  }
   return scenario;
 }
 

@@ -42,7 +42,8 @@ struct Scenario {
 
 /// Parse a scenario stream.  The first non-blank line must be the magic
 /// "aar.faults.v1"; '#' starts a comment.  Throws std::runtime_error with
-/// the offending line on any malformed input.
+/// the offending line on any malformed input, and when the file's `attach`
+/// is not in [1, nodes).
 [[nodiscard]] Scenario parse_scenario(std::istream& in);
 
 /// Load a scenario file; throws std::runtime_error when unreadable.

@@ -1,8 +1,8 @@
 #include "overlay/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace aar::overlay {
 
@@ -28,7 +28,10 @@ std::size_t connect_components(Graph& graph, util::Rng& rng) {
 }
 
 Graph make_erdos_renyi(std::size_t nodes, std::size_t edges, util::Rng& rng) {
-  assert(nodes >= 2);
+  if (nodes < 2) {
+    throw std::invalid_argument("make_erdos_renyi: nodes must be >= 2, got " +
+                                std::to_string(nodes));
+  }
   Graph graph(nodes);
   const std::size_t max_edges = nodes * (nodes - 1) / 2;
   edges = std::min(edges, max_edges);
@@ -44,7 +47,11 @@ Graph make_erdos_renyi(std::size_t nodes, std::size_t edges, util::Rng& rng) {
 
 Graph make_barabasi_albert(std::size_t nodes, std::size_t attach,
                            util::Rng& rng) {
-  assert(attach >= 1 && nodes > attach);
+  if (attach < 1 || nodes <= attach) {
+    throw std::invalid_argument(
+        "make_barabasi_albert: need 1 <= attach < nodes, got attach " +
+        std::to_string(attach) + " with " + std::to_string(nodes) + " nodes");
+  }
   Graph graph(nodes);
   // Clique seed of attach+1 nodes.
   const std::size_t seed = attach + 1;
@@ -73,30 +80,6 @@ Graph make_barabasi_albert(std::size_t nodes, std::size_t attach,
         endpoint_pool.push_back(target);
         ++linked;
       }
-    }
-  }
-  connect_components(graph, rng);
-  return graph;
-}
-
-Graph make_watts_strogatz(std::size_t nodes, std::size_t k, double beta,
-                          util::Rng& rng) {
-  assert(k >= 2 && k % 2 == 0 && nodes > k);
-  Graph graph(nodes);
-  // Ring lattice: node i links to its k/2 clockwise successors.
-  for (NodeId node = 0; node < nodes; ++node) {
-    for (std::size_t step = 1; step <= k / 2; ++step) {
-      const auto target = static_cast<NodeId>((node + step) % nodes);
-      // Rewire the far endpoint with probability beta.
-      if (rng.chance(beta)) {
-        std::size_t attempts = 0;
-        for (; attempts < 32; ++attempts) {
-          const auto random_target = static_cast<NodeId>(rng.below(nodes));
-          if (graph.add_edge(node, random_target)) break;
-        }
-        if (attempts < 32) continue;
-      }
-      graph.add_edge(node, target);
     }
   }
   connect_components(graph, rng);

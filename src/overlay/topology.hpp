@@ -2,10 +2,10 @@
 // Overlay topology generators.
 //
 // Gnutella-era crawls found power-law-ish degree distributions with a dense
-// core; we provide Barabási–Albert (the default for the traffic benches),
-// Erdős–Rényi, and Watts–Strogatz small-world graphs.  Every generator
-// returns a *connected* graph: stray components are stitched to the giant
-// component with random edges (a disconnected overlay cannot be searched).
+// core; we provide Barabási–Albert (the default for the traffic benches) and
+// Erdős–Rényi graphs.  Every generator returns a *connected* graph: stray
+// components are stitched to the giant component with random edges (a
+// disconnected overlay cannot be searched).
 
 #include "overlay/graph.hpp"
 #include "util/rng.hpp"
@@ -13,19 +13,16 @@
 namespace aar::overlay {
 
 /// G(n, m): `edges` distinct random edges, then connectivity fix-up.
+/// Throws std::invalid_argument unless nodes >= 2.
 [[nodiscard]] Graph make_erdos_renyi(std::size_t nodes, std::size_t edges,
                                      util::Rng& rng);
 
 /// Barabási–Albert preferential attachment: each new node attaches to
 /// `attach` existing nodes with probability proportional to degree.
-/// attach >= 1; the first attach+1 nodes form a clique seed.
+/// The first attach+1 nodes form a clique seed.  Throws
+/// std::invalid_argument unless 1 <= attach < nodes.
 [[nodiscard]] Graph make_barabasi_albert(std::size_t nodes, std::size_t attach,
                                          util::Rng& rng);
-
-/// Watts–Strogatz: ring lattice with `k` nearest neighbors per side of 2,
-/// each edge rewired with probability `beta`.  k must be even and >= 2.
-[[nodiscard]] Graph make_watts_strogatz(std::size_t nodes, std::size_t k,
-                                        double beta, util::Rng& rng);
 
 /// Ensure connectivity by wiring each non-giant component to a random node
 /// of the giant component.  Returns the number of edges added.

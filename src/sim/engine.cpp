@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -65,15 +66,7 @@ void record_overlay_search(const overlay::SearchOutcome& outcome) {
 }  // namespace
 
 Engine::Engine(const EngineConfig& config, overlay::Graph graph,
-               const overlay::PolicyFactory& factory)
-    : Engine(config, std::move(graph), std::unique_ptr<PeerModel>{}) {
-  // Policies are made after the stores; factories take no rng, so the order
-  // does not touch the workload stream.
-  model_ = std::make_unique<PolicyPeerModel>(num_nodes(), factory);
-}
-
-Engine::Engine(const EngineConfig& config, overlay::Graph graph,
-               std::unique_ptr<PeerModel> model)
+               overlay::PolicyFactory factory)
     : config_(config),
       graph_(std::move(graph)),
       rng_(config.build == EngineConfig::Build::kLegacy
@@ -83,7 +76,7 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
       catalogue_(config.content, config.build == EngineConfig::Build::kLegacy
                                      ? rng_
                                      : build_rng_),
-      model_(std::move(model)) {
+      factory_(std::move(factory)) {
   const std::size_t n = graph_.num_nodes();
   threads_ = config_.threads != 0
                  ? config_.threads
@@ -118,6 +111,10 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   queued_.assign(n, 0);
   holder_stamp_.assign(n, 0);
   parent_.assign(n, overlay::kNoNode);
+  // Policies are made after the stores; factories take no rng, so the order
+  // does not touch the workload stream.
+  policies_.resize(n);
+  for (NodeId node = 0; node < n; ++node) install_policy(node, factory_(node));
 }
 
 void Engine::check_node(NodeId node) const {
@@ -225,21 +222,42 @@ bool Engine::add_link(NodeId a, NodeId b) {
 
 overlay::RoutingPolicy& Engine::policy(NodeId node) {
   check_node(node);
-  return dynamic_cast<PolicyPeerModel&>(*model_).policy(node);
+  return *policies_[node];
 }
 
 void Engine::set_policy(NodeId node,
                         std::unique_ptr<overlay::RoutingPolicy> policy) {
   check_node(node);
-  dynamic_cast<PolicyPeerModel&>(*model_).set_policy(node, std::move(policy));
+  install_policy(node, std::move(policy));
+}
+
+void Engine::install_policy(NodeId node,
+                            std::unique_ptr<overlay::RoutingPolicy> policy) {
+  if (policy == nullptr) {
+    throw std::invalid_argument("sim::Engine: null policy for peer " +
+                                std::to_string(node));
+  }
+  if (policies_[node] != nullptr && policies_[node]->allows_revisit()) {
+    --revisiting_;
+  }
+  if (policy->allows_revisit()) ++revisiting_;
+  const auto at =
+      std::lower_bound(learns_any_.begin(), learns_any_.end(), node);
+  const bool listed = at != learns_any_.end() && *at == node;
+  if (policy->learns_only_neighbors()) {
+    if (listed) learns_any_.erase(at);
+  } else if (!listed) {
+    learns_any_.insert(at, node);
+  }
+  policies_[node] = std::move(policy);
 }
 
 void Engine::replace_peer(NodeId node, std::size_t attach) {
   // One shared workload rng in both build modes, so churn is thread/shard
   // independent.
   check_node(node);
-  const std::vector<NodeId> orphaned(graph_.neighbors(node).begin(),
-                                     graph_.neighbors(node).end());
+  std::vector<NodeId> orphaned(graph_.neighbors(node).begin(),
+                               graph_.neighbors(node).end());
   graph_.detach(node);
   std::size_t linked = 0;
   std::size_t attempts = 0;
@@ -271,11 +289,21 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
   for (const workload::FileId file : row(node)) {
     holders_[file].push_back(node);
   }
-  model_->reset_peer(node);
+  install_policy(node, factory_(node));
   // Every other peer's learned state about the departed one — mined rule
   // consequents, shortcut entries — names a NodeId that now belongs to a
-  // stranger.
-  model_->on_peer_departed(node, orphaned);
+  // stranger.  Only the former neighbours and the peers whose policy can
+  // learn any id may hold some (docs/SIMULATION.md, "Churn in place"); each
+  // is purged once, in ascending id order as a sweep of every peer would
+  // go: the last rule snapshot a purge takes sets the mining.antecedents
+  // gauge.
+  std::sort(orphaned.begin(), orphaned.end());
+  purge_scratch_.clear();
+  std::set_union(orphaned.begin(), orphaned.end(), learns_any_.begin(),
+                 learns_any_.end(), std::back_inserter(purge_scratch_));
+  for (const NodeId peer : purge_scratch_) {
+    if (peer != node) policies_[peer]->on_peer_departed(node);
+  }
   // The replacement joins healthy regardless of its predecessor's state.
   if (faults_ != nullptr) faults_->on_peer_replaced(node);
   if (config_.engine_metrics) {
@@ -307,7 +335,7 @@ Engine::ReplyResult Engine::deliver_reply(const overlay::Query& query,
                                           NodeId server) {
   // Gnutella routes QueryHits back along the reverse query path; parent_ is
   // exactly that GUID routing table for the current pass.  Every node on the
-  // path observes the (antecedent, consequent) pair and lets its model learn
+  // path observes the (antecedent, consequent) pair and lets its policy learn
   // from it — unless the reply is lost mid-path, in which case the nodes past
   // the loss (and the origin) never see it.
   ReplyResult result;
@@ -322,7 +350,7 @@ Engine::ReplyResult Engine::deliver_reply(const overlay::Query& query,
       return result;
     }
     const NodeId upstream = node == query.origin ? node : parent_[node];
-    model_->on_reply_path(query, node, upstream, downstream);
+    policies_[node]->on_reply_path(query, node, upstream, downstream);
     downstream = node;
     node = upstream;
   }
@@ -403,9 +431,9 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
       // throwaway split from (guid, self) keeps any draw deterministic and
       // per-peer.
       util::Rng scratch(split_seed(query.guid, ev.node));
-      directed = model_->route(query, ev.node, ev.from,
-                               graph_.neighbors(ev.node), scratch,
-                               shard.route_scratch);
+      directed = policies_[ev.node]->route(query, ev.node, ev.from,
+                                           graph_.neighbors(ev.node), scratch,
+                                           shard.route_scratch);
     }
     if (directed) r.flags |= EventResult::kDirected;
     r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
@@ -489,7 +517,7 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
   for (const std::uint32_t s : order_.at(now)) {
     --st.frontier_size;
     const QueryEvent ev = shard_state_[s].queue.at(now)[cursor_[s]++];
-    const bool revisits = model_->revisits(ev.node);
+    const bool revisits = policies_[ev.node]->allows_revisit();
     if (queued_[ev.node] < queue_mark(0)) {  // first visit this pass
       queued_[ev.node] = queue_mark(now);
       ++st.pass.nodes_reached;
@@ -502,9 +530,8 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     // k-random walks: once the query is answered, they stop forwarding.
     if (st.pass.hit && revisits) continue;
     targets.clear();
-    const bool directed = model_->route(query, ev.node, ev.from,
-                                        graph_.neighbors(ev.node), rng_,
-                                        targets);
+    const bool directed = policies_[ev.node]->route(
+        query, ev.node, ev.from, graph_.neighbors(ev.node), rng_, targets);
     std::erase(targets, ev.node);
     forward(now, origin, ev, targets, directed, st);
   }
@@ -569,7 +596,7 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
   PassState st;
   st.budget = budget;
   // Chosen once per pass: a forced flood never revisits.
-  revisit_pass_ = !force_flood && model_->any_revisits();
+  revisit_pass_ = !force_flood && revisiting_ > 0;
   for (const NodeId holder : holders(query.target)) {
     holder_stamp_[holder] = stamp_;
   }
@@ -673,7 +700,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
 
   // Phase A: direct shortcut probes, if the origin's policy keeps any.
   probe_scratch_.clear();
-  model_->probe_candidates(query, origin, probe_scratch_);
+  policies_[origin]->probe_candidates(query, origin, probe_scratch_);
   for (NodeId candidate : probe_scratch_) {
     outcome.probe_messages += 2;  // request + response
     if (candidate < num_nodes() && store_has(candidate, target)) {
@@ -684,7 +711,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
       outcome.hops_to_first_hit = 1;
       outcome.replicas_found = 1;
       outcome.rule_routed = true;
-      model_->on_search_result(query, origin, true, candidate);
+      policies_[origin]->on_search_result(query, origin, true, candidate);
       record(outcome);
       return outcome;
     }
@@ -742,7 +769,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
     // propagation (a pure flood that missed has already seen everything —
     // retrying it cannot help).
     const bool fallback_wanted =
-        options.flood_fallback || model_->wants_flood_fallback(origin);
+        options.flood_fallback || policies_[origin]->wants_flood_fallback();
     if (!pass.hit && fallback_wanted && pass.any_rule_routed &&
         !budget_exhausted) {
       const PassOutcome retry =
@@ -807,7 +834,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
 
   outcome.elapsed_stamps = now;
   outcome.timed_out = !outcome.hit && budget_exhausted;
-  model_->on_search_result(query, origin, outcome.hit, server);
+  policies_[origin]->on_search_result(query, origin, outcome.hit, server);
   record(outcome);
   return outcome;
 }

@@ -24,6 +24,13 @@
 //     visit is settled when sent: it never enters a queue, and only a hit
 //     keeps work in the log, answered at its place in canonical order.
 //
+// Peer behaviour: one overlay::RoutingPolicy per peer, made by a
+// PolicyFactory (flooding, k-random walks, interest shortcuts, routing
+// indices, association routing).  route() runs in the parallel phase of a
+// duplicate-suppressed pass, for distinct peers at once, and touches only
+// its own peer's state and a per-call rng stream; every other hook runs in
+// the serial phase, in canonical event order.
+//
 // Revisiting passes: while any peer's policy allows revisits (k-random
 // walks), a policy-routed pass has no parallel phase.  Every message is
 // queued, and the serial phase decides first visits from a per-pass seen
@@ -47,7 +54,6 @@
 #include "overlay/policy.hpp"
 #include "overlay/search.hpp"
 #include "sim/event.hpp"
-#include "sim/peer_model.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/content.hpp"
@@ -96,10 +102,9 @@ struct EngineConfig {
 /// The engine.
 class Engine {
  public:
+  /// Throws std::invalid_argument if `factory` returns a null policy.
   Engine(const EngineConfig& config, overlay::Graph graph,
-         const overlay::PolicyFactory& factory);
-  Engine(const EngineConfig& config, overlay::Graph graph,
-         std::unique_ptr<PeerModel> model);
+         overlay::PolicyFactory factory);
 
   /// Issue one query and simulate it to completion.
   overlay::SearchOutcome search(NodeId origin, workload::FileId target,
@@ -111,8 +116,8 @@ class Engine {
 
   /// Peer churn: the peer at `node` departs and a fresh peer joins in its
   /// place — links dropped, `attach` new random links made, new interests,
-  /// new store, and a fresh model state (every other peer's learned state
-  /// about the old peer is purged).
+  /// new store, and a fresh policy from the factory (every other peer's
+  /// learned state about the old peer is purged).
   void replace_peer(NodeId node, std::size_t attach);
   /// Replace `count` uniformly random peers (one churn epoch).
   void churn(std::size_t count, std::size_t attach);
@@ -122,8 +127,8 @@ class Engine {
   bool add_link(NodeId a, NodeId b);
 
   /// A peer's routing policy, and its replacement (adoption sweeps, A/B
-  /// tests).  Both throw std::bad_cast unless the engine was built from a
-  /// PolicyFactory.
+  /// tests).  set_policy throws std::invalid_argument on null and keeps the
+  /// old policy.
   [[nodiscard]] overlay::RoutingPolicy& policy(NodeId node);
   void set_policy(NodeId node, std::unique_ptr<overlay::RoutingPolicy> policy);
 
@@ -149,7 +154,6 @@ class Engine {
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return profiles_.size();
   }
-  [[nodiscard]] PeerModel& model() noexcept { return *model_; }
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
@@ -199,6 +203,10 @@ class Engine {
   }
 
   void check_node(NodeId node) const;
+  /// Install `node`'s policy and keep the revisit count and the learns-any
+  /// list in step.  Throws std::invalid_argument on null.
+  void install_policy(NodeId node,
+                      std::unique_ptr<overlay::RoutingPolicy> policy);
   void build_peers_legacy();
   void build_peers_sharded();
   void write_row(NodeId node, const workload::LocalStore& store);
@@ -262,7 +270,12 @@ class Engine {
   std::vector<std::uint32_t> store_len_;      ///< used prefix of each row
   std::vector<std::vector<NodeId>> holders_;  ///< file -> peers storing it
 
-  std::unique_ptr<PeerModel> model_;
+  overlay::PolicyFactory factory_;
+  std::vector<std::unique_ptr<overlay::RoutingPolicy>> policies_;
+  std::size_t revisiting_ = 0;  ///< peers whose policy allows_revisit()
+  /// Peers whose policy can learn any id (!learns_only_neighbors()), sorted.
+  std::vector<NodeId> learns_any_;
+  std::vector<NodeId> purge_scratch_;
   std::unique_ptr<fault::FaultInjector> faults_;
 
   // Stamp-versioned per-query scratch (never cleared between searches).

@@ -49,15 +49,6 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * radius * std::cos(kTwoPi * u2);
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  assert(xm > 0.0 && alpha > 0.0);
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += w;

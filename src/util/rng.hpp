@@ -89,9 +89,6 @@ class Rng {
   /// Normally distributed value (Box–Muller, no caching).
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
 
-  /// Pareto (power-law) value with scale xm > 0 and shape alpha > 0.
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
   /// Pick a uniformly random element index of a non-empty container size.
   [[nodiscard]] std::size_t index(std::size_t size) noexcept {
     return static_cast<std::size_t>(below(size));

@@ -154,6 +154,13 @@ TEST(CliScale, StrictFlagValidation) {
   // Degenerate configs are rejected, not run.
   EXPECT_EQ(run_sim("scale --nodes 1"), 2);
   EXPECT_EQ(run_sim("scale --nodes 100 --epochs 0"), 2);
+  // attach >= nodes used to crash a Release build (exit 139): the
+  // Barabási–Albert clique seed wrote peers that do not exist.
+  const std::string tiny = "--searches 5 --epochs 1 --warmup 1 --churn 0";
+  EXPECT_EQ(run_sim("scale --nodes 3 --attach 5 " + tiny), 2);
+  EXPECT_EQ(run_sim("scale --nodes 3 --attach 3 " + tiny), 2);
+  EXPECT_EQ(run_sim("scale --nodes 3 --attach 0 " + tiny), 2);
+  EXPECT_EQ(run_sim("scale --nodes 3 --attach 2 " + tiny), 0);
 }
 
 TEST(CliScale, MalformedNumbersAreUsageErrors) {

@@ -229,6 +229,23 @@ TEST(ScenarioFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_text(""), std::runtime_error);
 }
 
+TEST(ScenarioFormat, RejectsAttachNotBelowNodes) {
+  // `aar_sim faults` on nodes 3 / attach 5 used to crash a Release build:
+  // the Barabási–Albert clique seed wrote peers that do not exist.
+  for (const char* shape : {"nodes 3\nattach 5\n", "nodes 3\nattach 3\n",
+                            "attach 0\n", "attach 200\n"}) {
+    try {
+      (void)parse_text(std::string("aar.faults.v1\n") + shape);
+      ADD_FAILURE() << "accepted " << shape;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("attach"), std::string::npos) << what;
+      EXPECT_NE(what.find("nodes"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(parse_text("aar.faults.v1\nnodes 3\nattach 2\n").attach, 2u);
+}
+
 TEST(ScenarioFormat, SaveParseRoundTrips) {
   Scenario s;
   s.nodes = 33;

@@ -301,6 +301,24 @@ TEST(ChurnStaleRules, ShortcutListsAlsoPurged) {
   net.replace_peer(2, 1);
   EXPECT_EQ(policy.shortcuts().size(), 1u);
   EXPECT_EQ(policy.shortcuts()[0], 3u);
+
+  // A flooding overlay where one peer that is no neighbour of the departing
+  // peer takes shortcuts through set_policy: only the learns-any list that
+  // set_policy keeps brings the purge to it.
+  Graph star(4);
+  star.add_edge(0, 1);
+  star.add_edge(0, 2);
+  star.add_edge(0, 3);
+  Engine flooding(small_config(13), std::move(star), flooding_factory());
+  flooding.set_policy(1, std::make_unique<InterestShortcutsPolicy>());
+  auto& distant = dynamic_cast<InterestShortcutsPolicy&>(flooding.policy(1));
+  query.origin = 1;
+  distant.on_search_result(query, 1, true, 2);
+  distant.on_search_result(query, 1, true, 3);
+  ASSERT_EQ(distant.shortcuts(), (std::vector<NodeId>{3, 2}));
+
+  flooding.replace_peer(2, 1);
+  EXPECT_EQ(distant.shortcuts(), std::vector<NodeId>{3});
 }
 
 TEST(ChurnStaleRules, HybridPeersPurgeRulesAndShortcuts) {

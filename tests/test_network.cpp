@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "overlay/fault_experiment.hpp"
@@ -185,6 +186,18 @@ TEST(Network, SetPolicySwapsBehaviour) {
   EXPECT_EQ(net.policy(0).name(), "k-random-walk(1)");
   EXPECT_EQ(net.policy(1).name(), "flooding");
   EXPECT_THROW(net.set_policy(1, nullptr), std::invalid_argument);
+  EXPECT_THROW(net.set_policy(0, nullptr), std::invalid_argument);
+  // The refused calls left both policies in place.
+  EXPECT_EQ(net.policy(0).name(), "k-random-walk(1)");
+  EXPECT_EQ(net.policy(1).name(), "flooding");
+  EXPECT_GT(net.search(0, net.sample_target(0)).nodes_reached, 0u);
+
+  EXPECT_THROW(Engine(tiny_config(), line_graph(4),
+                      [](NodeId node) -> std::unique_ptr<RoutingPolicy> {
+                        if (node == 2) return nullptr;
+                        return std::make_unique<FloodingPolicy>();
+                      }),
+               std::invalid_argument);
 }
 
 // Learning hook plumbing: a recording policy observes reply paths.

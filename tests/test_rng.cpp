@@ -163,11 +163,6 @@ TEST(Rng, NormalMeanAndSpread) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(47);
-  for (int i = 0; i < 10'000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(53);
   std::vector<int> values(100);

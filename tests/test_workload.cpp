@@ -1,24 +1,13 @@
-#include "workload/churn.hpp"
 #include "workload/content.hpp"
 #include "workload/interests.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
 #include <numeric>
-#include <ostream>
 #include <set>
 
 namespace aar::workload {
-
-// gtest prints a shared_ptr parameter with its address, which would put a
-// per-run address into the discovered ChurnMeanSweep test names; print the
-// declared mean instead. Found by ADL, so it lives beside ChurnModel.
-void PrintTo(const std::shared_ptr<ChurnModel>& model, std::ostream* os) {
-  *os << "mean lifetime " << model->mean_lifetime();
-}
 
 namespace {
 
@@ -179,45 +168,6 @@ TEST(LocalStore, HasAndInsert) {
   EXPECT_TRUE(store.has(7));
   store.insert(7);
   EXPECT_EQ(store.size(), 1u);
-}
-
-// --- Churn models ------------------------------------------------------------
-
-class ChurnMeanSweep
-    : public ::testing::TestWithParam<std::shared_ptr<ChurnModel>> {};
-
-TEST_P(ChurnMeanSweep, EmpiricalMeanMatchesDeclared) {
-  const auto& model = *GetParam();
-  util::Rng rng(14);
-  double sum = 0.0;
-  constexpr int kSamples = 300'000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double lifetime = model.sample_lifetime(rng);
-    EXPECT_GT(lifetime, 0.0);
-    sum += lifetime;
-  }
-  EXPECT_NEAR(sum / kSamples, model.mean_lifetime(),
-              0.05 * model.mean_lifetime());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Models, ChurnMeanSweep,
-    ::testing::Values(std::make_shared<ExponentialChurn>(5.0),
-                      std::make_shared<ExponentialChurn>(100.0),
-                      std::make_shared<ParetoChurn>(1.0, 3.0),
-                      std::make_shared<TwoClassChurn>(0.2, 100.0, 5.0)));
-
-TEST(TwoClassChurn, MeanIsMixture) {
-  TwoClassChurn churn(0.25, 100.0, 4.0);
-  EXPECT_DOUBLE_EQ(churn.mean_lifetime(), 0.25 * 100.0 + 0.75 * 4.0);
-  EXPECT_DOUBLE_EQ(churn.core_fraction(), 0.25);
-}
-
-TEST(ParetoChurn, HeavyTailExceedsScale) {
-  ParetoChurn churn(2.0, 2.0);
-  util::Rng rng(15);
-  for (int i = 0; i < 1'000; ++i) EXPECT_GE(churn.sample_lifetime(rng), 2.0);
-  EXPECT_DOUBLE_EQ(churn.mean_lifetime(), 4.0);
 }
 
 }  // namespace

@@ -656,6 +656,10 @@ int cmd_scale(const util::Cli& options) {
     std::cerr << "scale: need --nodes >= 2 and --epochs >= 1\n";
     return 2;
   }
+  if (config.attach == 0 || config.attach >= config.nodes) {
+    std::cerr << "scale: need 1 <= --attach < --nodes\n";
+    return 2;
+  }
 
   const sim::ScaleResult result = sim::run_scale(config);
 

@@ -124,6 +124,54 @@ TEST(IncrementalRuleMiner, TotalEvictionRemovesAntecedent) {
   EXPECT_EQ(miner.distinct_antecedents(), 1u);
 }
 
+TEST(IncrementalRuleMiner, InPlaceGrowShrinkAndDeleteKeepLookupsExact) {
+  // One antecedent's rules grow, shrink and vanish across snapshots while
+  // its neighbours' rules stay put: every lookup reads the current counts.
+  IncrementalRuleMiner miner({.window = 0, .min_support = 1});
+  miner.add(pair_of(4, 40));
+  miner.add(pair_of(7, 1));
+  miner.add(pair_of(9, 90));
+  const core::RuleSet& rules = miner.snapshot();
+  ASSERT_EQ(rules.consequents(7).size(), 1u);
+
+  // Grow: 7 gains three consequents (2 outranks 1 on support).
+  for (const HostId replier : {2u, 2u, 3u, 5u}) miner.add(pair_of(7, replier));
+  miner.snapshot();
+  EXPECT_EQ(std::vector<core::Consequent>(rules.consequents(7).begin(),
+                                          rules.consequents(7).end()),
+            (std::vector<core::Consequent>{{2, 2}, {1, 1}, {3, 1}, {5, 1}}));
+  EXPECT_EQ(rules.top_k(7, 2), (std::vector<HostId>{2, 1}));
+  EXPECT_EQ(rules.top_k(7, 9), (std::vector<HostId>{2, 1, 3, 5}));
+
+  // Shrink: evicting the four oldest pairs leaves 7 with 2, 3 and 5.
+  miner.evict_to(miner.window_size() - 4);  // (4,40) (7,1) (9,90) (7,2)
+  miner.add(pair_of(4, 40));
+  miner.add(pair_of(9, 90));
+  miner.snapshot();
+  EXPECT_EQ(std::vector<core::Consequent>(rules.consequents(7).begin(),
+                                          rules.consequents(7).end()),
+            (std::vector<core::Consequent>{{2, 1}, {3, 1}, {5, 1}}));
+  EXPECT_EQ(rules.top_k(7, 1), (std::vector<HostId>{2}));
+  EXPECT_FALSE(rules.matches(7, 1));
+
+  // Delete: evict the rest of 7's pairs.
+  miner.evict_to(2);
+  miner.snapshot();
+  EXPECT_FALSE(rules.covers(7));
+  EXPECT_TRUE(rules.consequents(7).empty());
+  EXPECT_TRUE(rules.top_k(7, 3).empty());
+  EXPECT_EQ(rules.num_antecedents(), 2u);
+  EXPECT_EQ(rules.num_rules(), 2u);
+  EXPECT_EQ(rules.top_k(4, 1), (std::vector<HostId>{40}));
+  EXPECT_EQ(rules.top_k(9, 1), (std::vector<HostId>{90}));
+
+  // And back: 7 returns with one rule.
+  miner.add(pair_of(7, 6));
+  miner.snapshot();
+  EXPECT_EQ(rules.top_k(7, 3), (std::vector<HostId>{6}));
+  EXPECT_EQ(rules.num_rules(), 3u);
+}
+
 TEST(IncrementalRuleMiner, RingWrapAroundKeepsWindowExact) {
   // Capacity 7 (not a power of two) forces head wrap-around many times over.
   IncrementalRuleMiner miner({.window = 7, .min_support = 1});

@@ -55,11 +55,11 @@ int main() {
       // Average number of neighbors a rule-routed query is sent to.
       double total_targets = 0.0;
       std::size_t decided = 0;
-      for (const auto& [antecedent, consequents] : rules.rules()) {
+      rules.for_each([&](core::HostId, std::span<const core::Consequent> consequents) {
         total_targets += static_cast<double>(
             std::min<std::size_t>(variant.config.k, consequents.size()));
         ++decided;
-      }
+      });
       if (decided > 0) fan_out.add(total_targets / static_cast<double>(decided));
     }
     successes.push_back(success.mean());

@@ -76,7 +76,9 @@ int main(int argc, char** argv) {
             << policy.rule_hits() << " queries and flooded " << policy.floods()
             << ".\nsample of its routing table:\n";
   std::size_t shown = 0;
-  for (const auto& [antecedent, consequents] : policy.rules().rules()) {
+  policy.rules().for_each([&](core::HostId antecedent,
+                              std::span<const core::Consequent> consequents) {
+    if (shown++ >= 8) return;
     std::cout << "  queries from ";
     if (antecedent == busiest) {
       std::cout << "itself";
@@ -85,7 +87,6 @@ int main(int argc, char** argv) {
     }
     std::cout << " -> forward to neighbor " << consequents[0].neighbor
               << " (support " << consequents[0].support << ")\n";
-    if (++shown == 8) break;
-  }
+  });
   return 0;
 }

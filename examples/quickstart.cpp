@@ -58,10 +58,11 @@ int main() {
   // Peek at a few concrete rules.
   std::cout << "\nsample rules (antecedent -> top consequent, support):\n";
   std::size_t shown = 0;
-  for (const auto& [antecedent, consequents] : rules.rules()) {
+  rules.for_each([&](core::HostId antecedent,
+                     std::span<const core::Consequent> consequents) {
+    if (shown++ >= 5) return;
     std::cout << "  {" << antecedent << "} -> {" << consequents[0].neighbor
               << "}  support=" << consequents[0].support << "\n";
-    if (++shown == 5) break;
-  }
+  });
   return 0;
 }

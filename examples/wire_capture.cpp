@@ -93,14 +93,15 @@ int main() {
   const core::BlockMeasures quality = core::evaluate(rules, test);
 
   util::Table table({"rule", "support"});
-  for (const auto& [antecedent, consequents] : rules.rules()) {
+  rules.for_each([&](core::HostId antecedent,
+                     std::span<const core::Consequent> consequents) {
     for (const auto& consequent : consequents) {
       table.row({"{neighbor " + std::to_string(antecedent) +
                      "} -> {neighbor " + std::to_string(consequent.neighbor) +
                      "}",
                  std::to_string(consequent.support)});
     }
-  }
+  });
   table.print(std::cout);
   std::cout << "\ncoverage = " << quality.coverage()
             << ", success = " << quality.success()

@@ -11,7 +11,7 @@ void GuidStates::begin_block(std::size_t pairs) {
     throw std::length_error("GuidStates: a block holds at most 2^30 pairs");
   }
   const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(16, pairs + pairs / 2));
+      std::bit_ceil(std::max<std::size_t>(16, 3 * pairs));
   if (capacity > slots_.size()) {
     slots_.assign(capacity, Slot{});
     mask_ = capacity - 1;

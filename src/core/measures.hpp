@@ -59,8 +59,8 @@ class GuidStates {
   static constexpr std::uint32_t kSuccessful = 2;  ///< counted toward s
 
   /// Forget every GUID and size the table for a block of `pairs` pairs (at
-  /// most two-thirds full, since a block holds at most `pairs` distinct
-  /// GUIDs).  Throws std::length_error past 2^30 pairs, the most the
+  /// most one-third full, since a block holds at most `pairs` distinct
+  /// GUIDs: probe runs stay short on the per-pair path).  Throws std::length_error past 2^30 pairs, the most the
   /// first-sight index can number.
   void begin_block(std::size_t pairs);
 

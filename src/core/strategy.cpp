@@ -148,10 +148,16 @@ void IncrementalRuleset::bootstrap(Block first_block) {
 void IncrementalRuleset::train(const QueryReplyPair& pair) {
   ++pairs_seen_;
   if (pairs_seen_ - pairs_at_last_decay_ >= kDecayStride) decay_all();
-  const std::size_t held = counts_.size();
-  double& count =
-      counts_.find_or_insert(pair_key(pair.source_host, pair.replying_neighbor));
-  const bool was_active = counts_.size() == held && count >= min_effective_;
+  const std::uint64_t key = pair_key(pair.source_host, pair.replying_neighbor);
+  const std::size_t held = index_of_.size();
+  std::uint32_t& index = index_of_.find_or_insert(key);
+  const bool fresh = index_of_.size() != held;
+  if (fresh) {
+    index = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(Decayed{key, 0.0});
+  }
+  double& count = entries_[index].count;
+  const bool was_active = !fresh && count >= min_effective_;
   count += 1.0;
   if (!was_active && count >= min_effective_) {
     ++active_of_.find_or_insert(pair.source_host);
@@ -165,17 +171,29 @@ void IncrementalRuleset::decay_all() {
   // Decay, drop the dead, and recount the surviving active rules per source
   // in one sweep, so departed hosts and dead rules do not accumulate.
   active_of_.clear();
-  counts_.retain([&](std::uint64_t key, double& count) {
-    count *= factor;
-    if (count < kDropEpsilon) return false;
-    if (count >= min_effective_) ++active_of_.find_or_insert(source_of(key));
-    return true;
-  });
+  for (std::size_t i = 0; i < entries_.size();) {
+    Decayed& entry = entries_[i];
+    entry.count *= factor;
+    if (entry.count < kDropEpsilon) {
+      // Swap-remove: the last entry, not swept yet, takes slot i next.
+      index_of_.erase(entry.key);
+      if (i + 1 != entries_.size()) {
+        entry = entries_.back();
+        *index_of_.find(entry.key) = static_cast<std::uint32_t>(i);
+      }
+      entries_.pop_back();
+      continue;
+    }
+    if (entry.count >= min_effective_) {
+      ++active_of_.find_or_insert(source_of(entry.key));
+    }
+    ++i;
+  }
 }
 
 bool IncrementalRuleset::rule_active(HostId source, HostId replier) const {
-  const double* count = counts_.find(pair_key(source, replier));
-  return count != nullptr && *count >= min_effective_;
+  const std::uint32_t* index = index_of_.find(pair_key(source, replier));
+  return index != nullptr && entries_[*index].count >= min_effective_;
 }
 
 bool IncrementalRuleset::host_covered(HostId source) const {

@@ -216,11 +216,19 @@ class IncrementalRuleset final : public Strategy {
   double min_effective_;
   std::uint64_t pairs_seen_ = 0;
   std::uint64_t pairs_at_last_decay_ = 0;
-  // (source<<32 | replier) -> decayed count, plus each source's number of
-  // active rules, so the coverage test is one lookup.  train() bumps a
-  // source when one of its counts crosses min_effective_; the decay sweep
-  // recounts them all.  Only sources with an active rule have an entry.
-  util::FlatCountMap<std::uint64_t, double> counts_;
+  // Decayed counts, dense so the decay sweep touches live entries only:
+  // entries_ holds each (source<<32 | replier) key with its count, index_of_
+  // maps a key to its entry, and a dropped entry is swap-removed.
+  struct Decayed {
+    std::uint64_t key = 0;
+    double count = 0.0;
+  };
+  std::vector<Decayed> entries_;
+  util::FlatCountMap<std::uint64_t, std::uint32_t> index_of_;
+  // Each source's number of active rules, so the coverage test is one
+  // lookup.  train() bumps a source when one of its counts crosses
+  // min_effective_; the decay sweep recounts them all.  Only sources with
+  // an active rule have an entry.
   util::FlatCountMap<HostId, std::uint32_t> active_of_;
 };
 

@@ -184,21 +184,7 @@ void IncrementalRuleMiner::rebuild_antecedent(HostId antecedent) {
               });
   }
 
-  const auto rit = ruleset_.rules_.find(antecedent);
-  if (scratch_.empty()) {
-    if (rit != ruleset_.rules_.end()) {
-      ruleset_.rule_count_ -= rit->second.size();
-      ruleset_.rules_.erase(rit);
-    }
-    return;
-  }
-  if (rit != ruleset_.rules_.end()) {
-    ruleset_.rule_count_ += scratch_.size() - rit->second.size();
-    rit->second.assign(scratch_.begin(), scratch_.end());
-  } else {
-    ruleset_.rules_.emplace(antecedent, scratch_);
-    ruleset_.rule_count_ += scratch_.size();
-  }
+  ruleset_.assign(antecedent, scratch_);  // empty: the antecedent leaves
 }
 
 const core::RuleSet& IncrementalRuleMiner::snapshot() {

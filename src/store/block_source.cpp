@@ -24,16 +24,14 @@ void StoreBlockSource::schedule_prefetch() {
   if (next_chunk_ >= reader_.num_chunks()) return;
   const std::size_t chunk = next_chunk_++;
   pool_.submit([this, chunk] {
-    std::vector<trace::QueryReplyPair> decoded;
     std::exception_ptr error;
     try {
-      decoded = reader_.read_pairs_chunk(chunk);
+      reader_.read_pairs_chunk(chunk, slot_, payload_);
     } catch (...) {
       error = std::current_exception();
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      slot_ = std::move(decoded);
       slot_error_ = error;
       slot_ready_ = true;
     }
@@ -41,7 +39,7 @@ void StoreBlockSource::schedule_prefetch() {
   });
 }
 
-std::vector<trace::QueryReplyPair> StoreBlockSource::take_prefetched() {
+void StoreBlockSource::take_prefetched() {
   // Hit = the decode finished before the simulator came back for the chunk
   // (prefetch fully overlapped); wait = the consumer stalled on the decode.
   auto& registry = obs::Registry::global();
@@ -49,7 +47,6 @@ std::vector<trace::QueryReplyPair> StoreBlockSource::take_prefetched() {
   static obs::Counter& waits = registry.counter("store.prefetch_waits");
   static obs::Timer& wait_timer = registry.timer("store.prefetch_wait");
 
-  std::vector<trace::QueryReplyPair> chunk;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (!slot_ready_) {
@@ -62,13 +59,11 @@ std::vector<trace::QueryReplyPair> StoreBlockSource::take_prefetched() {
     // The error stays in the slot and nothing more is scheduled, so every
     // later call rethrows it rather than waiting for a chunk forever.
     if (slot_error_ != nullptr) std::rethrow_exception(slot_error_);
-    chunk = std::move(slot_);
-    slot_.clear();
+    chunk_.swap(slot_);
     slot_ready_ = false;
   }
   ++chunks_taken_;
   schedule_prefetch();  // overlap the next decode with consumption
-  return chunk;
 }
 
 std::span<const trace::QueryReplyPair> StoreBlockSource::next_block(
@@ -82,7 +77,7 @@ std::span<const trace::QueryReplyPair> StoreBlockSource::next_block(
       offset_ = chunk_.size();
       while (stitch_.size() < block_size) {
         if (chunks_taken_ == reader_.num_chunks()) return {};  // tail dropped
-        chunk_ = take_prefetched();
+        take_prefetched();
         offset_ = std::min(block_size - stitch_.size(), chunk_.size());
         stitch_.insert(stitch_.end(), chunk_.begin(),
                        chunk_.begin() + static_cast<std::ptrdiff_t>(offset_));
@@ -90,7 +85,7 @@ std::span<const trace::QueryReplyPair> StoreBlockSource::next_block(
       return stitch_;
     }
     if (chunks_taken_ == reader_.num_chunks()) return {};
-    chunk_ = take_prefetched();
+    take_prefetched();
     offset_ = 0;
   }
   const std::span<const trace::QueryReplyPair> block(chunk_.data() + offset_,

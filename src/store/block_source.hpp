@@ -8,7 +8,9 @@
 // boundary is copied, into a stitch buffer of at most one block.  Memory is
 // therefore bounded by the current chunk, the stitch buffer and the single
 // in-flight prefetched chunk — replaying a multi-gigabyte trace needs
-// megabytes of RAM, not the whole table.
+// megabytes of RAM, not the whole table.  The two chunk buffers trade
+// places at each hand-over and the worker reads payloads into one reused
+// buffer, so a replay allocates only while its buffers grow.
 
 #include <condition_variable>
 #include <cstddef>
@@ -37,7 +39,9 @@ class StoreBlockSource final : public trace::BlockSource {
 
  private:
   void schedule_prefetch();
-  [[nodiscard]] std::vector<trace::QueryReplyPair> take_prefetched();
+  /// Wait for the prefetched chunk and make it chunk_ (its old buffer goes
+  /// back to the worker for the next decode).
+  void take_prefetched();
 
   const Reader& reader_;
   std::size_t next_chunk_ = 0;    ///< next chunk index to schedule
@@ -45,7 +49,10 @@ class StoreBlockSource final : public trace::BlockSource {
 
   std::mutex mutex_;
   std::condition_variable slot_filled_;
+  /// Written by the worker while a decode is in flight, read by the consumer
+  /// only once slot_ready_ is set: the two never touch it at once.
   std::vector<trace::QueryReplyPair> slot_;
+  std::vector<unsigned char> payload_;  ///< the worker's read buffer
   std::exception_ptr slot_error_;  ///< kept once set: decoding stops there
   bool slot_ready_ = false;
 

@@ -89,8 +89,19 @@ void put_varint(Sink& out, std::uint64_t value) {
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320).  `seed` chains
 /// incremental updates: crc32(b, crc32(a)) == crc32(a+b).
+/// Folds with carry-less multiplication (PCLMULQDQ) where the CPU has it,
+/// else with the slicing-by-16 table; both give the same value.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0) noexcept;
+
+/// crc32()'s two paths, exposed for the differential test: the table path
+/// runs everywhere; crc32_clmul folds inputs of 64 bytes or more with
+/// PCLMULQDQ, so call it only where crc32_clmul_supported().
+[[nodiscard]] std::uint32_t crc32_table(const void* data, std::size_t size,
+                                        std::uint32_t seed = 0) noexcept;
+[[nodiscard]] std::uint32_t crc32_clmul(const void* data, std::size_t size,
+                                        std::uint32_t seed = 0) noexcept;
+[[nodiscard]] bool crc32_clmul_supported() noexcept;
 
 /// 64-bit FNV-1a: the golden digests of the test suite, the outcome-stream
 /// fingerprint and the wire-GUID fold all use it.
@@ -129,6 +140,40 @@ class ByteReader {
     return varint_checked();
   }
 
+  /// Decode a column of `n` consecutive varints, calling `sink(i, value)`
+  /// for i = 0..n-1 in order; same values and errors as n varint() calls.
+  /// While 72 bytes remain it classifies 64 bytes at a time into a bitmask
+  /// of terminator bytes and peels varints off the mask: one varint's end
+  /// no longer waits on the previous one's load, and mixed lengths cost no
+  /// mispredicted branch.  Varints of 9-10 bytes and the column's tail
+  /// take varint().
+  template <typename Sink>
+  void varints(std::size_t n, Sink&& sink) {
+    std::size_t i = 0;
+    while (i < n && end_ - p_ >= 72) {
+      const unsigned char* const base = p_;
+      std::uint64_t stops = terminators64(base);
+      if (stops == 0) break;  // a 64-byte varint: varint() below throws
+      unsigned start = 0;     // first byte of the next varint in the window
+      do {
+        const auto last = static_cast<unsigned>(std::countr_zero(stops));
+        const unsigned size = last - start + 1;
+        if (size <= 8) [[likely]] {
+          const std::uint64_t w = get_u64(base + start) & (~0ull >> (64 - 8 * size));
+          sink(i, compact7(w & 0x7f7f7f7f7f7f7f7full));
+        } else {
+          p_ = base + start;
+          sink(i, varint());  // 9-10 bytes, or throws when over-long
+        }
+        ++i;
+        start = last + 1;
+        stops &= stops - 1;
+      } while (stops != 0 && i < n);
+      p_ = base + start;
+    }
+    for (; i < n; ++i) sink(i, varint());
+  }
+
   /// Branchless decode of a <= 8-byte varint given >= 10 readable bytes: find
   /// the terminator byte with countr_zero over the inverted continuation
   /// bits, mask off the consumed bytes, then compact the 7-bit groups with
@@ -141,11 +186,7 @@ class ByteReader {
     if (stops != 0) [[likely]] {
       p_ += std::countr_zero(stops) / 8 + 1;
       const std::uint64_t lsb = stops & (0 - stops);
-      std::uint64_t x = w & ((lsb << 1) - 1) & 0x7f7f7f7f7f7f7f7full;
-      x = (x & 0x007f007f007f007full) | ((x & 0x7f007f007f007f00ull) >> 1);
-      x = (x & 0x00003fff00003fffull) | ((x & 0x3fff00003fff0000ull) >> 2);
-      x = (x & 0x000000000fffffffull) | ((x & 0x0fffffff00000000ull) >> 4);
-      return x;
+      return compact7(w & ((lsb << 1) - 1) & 0x7f7f7f7f7f7f7f7full);
     }
     return varint_long(w);
   }
@@ -170,6 +211,25 @@ class ByteReader {
   [[nodiscard]] bool done() const noexcept { return p_ == end_; }
 
  private:
+  /// Pack the 7-bit groups of up to eight varint bytes (continuation bits
+  /// already cleared) into one value: three shift/mask rounds.
+  [[nodiscard]] static std::uint64_t compact7(std::uint64_t x) noexcept {
+    x = (x & 0x007f007f007f007full) | ((x & 0x7f007f007f007f00ull) >> 1);
+    x = (x & 0x00003fff00003fffull) | ((x & 0x3fff00003fff0000ull) >> 2);
+    return (x & 0x000000000fffffffull) | ((x & 0x0fffffff00000000ull) >> 4);
+  }
+
+  /// Bit b set when byte p[b] (0 <= b < 64) ends a varint (high bit clear):
+  /// each word's eight high bits gathered by one multiply.
+  [[nodiscard]] static std::uint64_t terminators64(const unsigned char* p) noexcept {
+    std::uint64_t mask = 0;
+    for (unsigned word = 0; word < 8; ++word) {
+      const std::uint64_t high = ~get_u64(p + 8 * word) & 0x8080808080808080ull;
+      mask |= (((high >> 7) * 0x0102040810204080ull) >> 56) << (8 * word);
+    }
+    return mask;
+  }
+
   [[nodiscard]] std::uint64_t varint_long(std::uint64_t w);
   [[nodiscard]] std::uint64_t varint_checked();
   [[noreturn]] static void fail_truncated();

@@ -353,13 +353,14 @@ TEST(ChurnStaleRules, HybridPeersPurgeRulesAndShortcuts) {
 
 /// Does any rule of `rules` name `id`, as antecedent or consequent?
 bool rules_name(const core::RuleSet& rules, NodeId id) {
-  for (const auto& [antecedent, consequents] : rules.rules()) {
-    if (antecedent == id) return true;
+  bool named = false;
+  rules.for_each([&](NodeId antecedent, std::span<const core::Consequent> consequents) {
+    if (antecedent == id) named = true;
     for (const core::Consequent& consequent : consequents) {
-      if (consequent.neighbor == id) return true;
+      if (consequent.neighbor == id) named = true;
     }
-  }
-  return false;
+  });
+  return named;
 }
 
 /// The rule set and shortcut list a peer's policy keeps (null when none).

@@ -88,8 +88,8 @@ class FlatCountMap {
 
   /// Visit every entry once, in slot order, and erase those for which
   /// `keep(key, value)` returns false.  `keep` may modify the value first
-  /// (a decay sweep scales each count, then drops the ones that fell below
-  /// a floor, in one pass).
+  /// (scale each count, then drop the ones that fell below a floor, in one
+  /// pass).
   template <typename Keep>
   void retain(Keep&& keep) {
     for (Slot& slot : slots_) {

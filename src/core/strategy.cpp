@@ -4,7 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "obs/registry.hpp"
 
@@ -62,6 +61,31 @@ constexpr HostId source_of(std::uint64_t key) noexcept {
 constexpr std::uint64_t kDecayStride = 1'000;
 /// Entries decayed below this are dropped from the tables.
 constexpr double kDropEpsilon = 0.05;
+
+/// Rejects a rule threshold that is NaN, infinite or not positive: NaN and
+/// infinity never activate a rule, and at or below 0 every unseen pair
+/// would count as a rule without its source ever being counted.
+void check_min_effective(const char* strategy, double min_effective_support) {
+  if (!(min_effective_support > 0.0) || !std::isfinite(min_effective_support)) {
+    throw std::invalid_argument(
+        std::string(strategy) +
+        ": min_effective_support must be positive and finite, got " +
+        std::to_string(min_effective_support));
+  }
+}
+
+/// One of `source`'s rules stopped counting; a source left with none loses
+/// its entry.
+void lower(util::FlatCountMap<HostId, std::uint32_t>& active_of, HostId source) {
+  std::uint32_t* active = active_of.find(source);
+  if (--*active == 0) active_of.erase(source);
+}
+
+std::uint32_t active_of_source(const util::FlatCountMap<HostId, std::uint32_t>& active_of,
+                               HostId source) {
+  const std::uint32_t* active = active_of.find(source);
+  return active == nullptr ? 0 : *active;
+}
 }  // namespace
 
 // ------------------------------------------------------------ lazy/adaptive
@@ -137,6 +161,7 @@ IncrementalRuleset::IncrementalRuleset(std::uint32_t min_support,
         "IncrementalRuleset: half_life_pairs must be positive and finite, got " +
         std::to_string(half_life_pairs));
   }
+  check_min_effective("IncrementalRuleset", min_effective_support);
   decay_per_pair_ = std::exp2(-1.0 / half_life_pairs);
 }
 
@@ -153,10 +178,11 @@ void IncrementalRuleset::train(const QueryReplyPair& pair) {
   std::uint32_t& index = index_of_.find_or_insert(key);
   const bool fresh = index_of_.size() != held;
   if (fresh) {
-    index = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back(Decayed{key, 0.0});
+    index = static_cast<std::uint32_t>(counts_.size());
+    counts_.push_back(0.0);
+    keys_.push_back(key);
   }
-  double& count = entries_[index].count;
+  double& count = counts_[index];
   const bool was_active = !fresh && count >= min_effective_;
   count += 1.0;
   if (!was_active && count >= min_effective_) {
@@ -168,32 +194,55 @@ void IncrementalRuleset::decay_all() {
   const double factor = std::pow(decay_per_pair_,
                                  static_cast<double>(pairs_seen_ - pairs_at_last_decay_));
   pairs_at_last_decay_ = pairs_seen_;
-  // Decay, drop the dead, and recount the surviving active rules per source
-  // in one sweep, so departed hosts and dead rules do not accumulate.
-  active_of_.clear();
-  for (std::size_t i = 0; i < entries_.size();) {
-    Decayed& entry = entries_[i];
-    entry.count *= factor;
-    if (entry.count < kDropEpsilon) {
-      // Swap-remove: the last entry, not swept yet, takes slot i next.
-      index_of_.erase(entry.key);
-      if (i + 1 != entries_.size()) {
-        entry = entries_.back();
-        *index_of_.find(entry.key) = static_cast<std::uint32_t>(i);
-      }
-      entries_.pop_back();
-      continue;
+  // Decay and drop the dead, so departed hosts and dead rules do not
+  // accumulate.  The first pass streams over the counts alone: it decays
+  // each one and marks, without branching, the few entries that stop
+  // counting (active before, below the threshold or the drop floor after;
+  // counts only fall here) or are to be dropped.  A mark is the slot index
+  // times two, plus one when the entry stops counting.
+  const std::size_t held = counts_.size();
+  marks_.resize(held);
+  double* const counts = counts_.data();
+  std::size_t* const marks = marks_.data();
+  const double threshold = min_effective_;
+  std::size_t marked = 0;
+  for (std::size_t i = 0; i < held; ++i) {
+    const double old = counts[i];
+    const double count = old * factor;
+    counts[i] = count;
+    const bool dropped = count < kDropEpsilon;
+    const bool stops = (old >= threshold) & ((count < threshold) | dropped);
+    marks[marked] = 2 * i + stops;
+    marked += dropped | stops;
+  }
+  // The marked entries, last slot first, so a swap-remove only moves an
+  // entry that is unmarked or already handled into the freed slot.
+  for (std::size_t k = marked; k-- > 0;) {
+    const std::size_t i = marks[k] / 2;
+    if (marks[k] % 2 != 0) lower(active_of_, source_of(keys_[i]));
+    if (counts_[i] >= kDropEpsilon) continue;
+    index_of_.erase(keys_[i]);
+    if (i + 1 != counts_.size()) {
+      counts_[i] = counts_.back();
+      keys_[i] = keys_.back();
+      *index_of_.find(keys_[i]) = static_cast<std::uint32_t>(i);
     }
-    if (entry.count >= min_effective_) {
-      ++active_of_.find_or_insert(source_of(entry.key));
-    }
-    ++i;
+    counts_.pop_back();
+    keys_.pop_back();
   }
 }
 
 bool IncrementalRuleset::rule_active(HostId source, HostId replier) const {
+  return decayed_count(source, replier) >= min_effective_;
+}
+
+double IncrementalRuleset::decayed_count(HostId source, HostId replier) const {
   const std::uint32_t* index = index_of_.find(pair_key(source, replier));
-  return index != nullptr && entries_[*index].count >= min_effective_;
+  return index == nullptr ? 0.0 : counts_[*index];
+}
+
+std::uint32_t IncrementalRuleset::active_rules(HostId source) const {
+  return active_of_source(active_of_, source);
 }
 
 bool IncrementalRuleset::host_covered(HostId source) const {
@@ -228,54 +277,51 @@ StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
     : Strategy(min_support),
       min_effective_(min_effective_support),
       epoch_pairs_(epoch_pairs),
-      current_(epsilon),
-      previous_(epsilon) {
+      counter_(epsilon) {
   if (epoch_pairs_ == 0) {
     throw std::invalid_argument("StreamingRuleset: epoch_pairs must be positive");
   }
+  check_min_effective("StreamingRuleset", min_effective_support);
 }
 
 void StreamingRuleset::bootstrap(Block first_block) {
   for (const QueryReplyPair& pair : first_block) train(pair);
 }
 
-std::uint64_t StreamingRuleset::pair_count(HostId source, HostId replier) const {
-  const std::uint64_t key = pair_key(source, replier);
-  return current_.count(key) + previous_.count(key);
+bool StreamingRuleset::rule_active(HostId source, HostId replier) const {
+  return active(counter_.counts(pair_key(source, replier)).total());
 }
 
 bool StreamingRuleset::host_covered(HostId source) const {
   return active_of_.find(source) != nullptr;
 }
 
-void StreamingRuleset::recount_active() {
-  active_of_.clear();
-  current_.for_each([&](std::uint64_t key, std::uint64_t count) {
-    if (active(count + previous_.count(key))) {
-      ++active_of_.find_or_insert(source_of(key));
-    }
-  });
-  previous_.for_each([&](std::uint64_t key, std::uint64_t count) {
-    if (current_.count(key) == 0 && active(count)) {
-      ++active_of_.find_or_insert(source_of(key));
-    }
-  });
+std::uint32_t StreamingRuleset::active_rules(HostId source) const {
+  return active_of_source(active_of_, source);
 }
 
 void StreamingRuleset::train(const QueryReplyPair& pair) {
   const std::uint64_t key = pair_key(pair.source_host, pair.replying_neighbor);
-  const std::uint64_t before = current_.count(key) + previous_.count(key);
-  bool recount = current_.add(key);  // a prune may have lowered counts
+  // A prune takes an entry's combined count down to its previous count.
+  // The trained key is settled once, from its counts before and after the
+  // whole add, so its own prune is skipped here.  It never falls: the only
+  // key its own add prunes is one counted fresh (count 1) by the bucket's
+  // last item, which is left with its previous count, i.e. `before`.
+  const assoc::LossyCounter::Added added = counter_.add(
+      key, [&](std::uint64_t pruned, assoc::LossyCounter::Counts counts) {
+        if (pruned != key && active(counts.total()) && !active(counts.previous)) {
+          lower(active_of_, source_of(pruned));
+        }
+      });
+  if (!active(added.before) && active(added.after)) {
+    ++active_of_.find_or_insert(pair.source_host);
+  }
   if (++pairs_in_epoch_ >= epoch_pairs_) {
     pairs_in_epoch_ = 0;
-    std::swap(current_, previous_);
-    current_.clear();
-    recount = true;
-  }
-  if (recount) {
-    recount_active();
-  } else if (!active(before) && active(before + 1)) {
-    ++active_of_.find_or_insert(pair.source_host);
+    active_of_.clear();
+    counter_.rotate([this](std::uint64_t held, std::uint64_t previous) {
+      if (active(previous)) ++active_of_.find_or_insert(source_of(held));
+    });
   }
 }
 

@@ -194,9 +194,9 @@ class AdaptiveSlidingWindow final : public Strategy {
 /// consistently above 0.90 for this approach.
 class IncrementalRuleset final : public Strategy {
  public:
-  /// `half_life_pairs`: decayed count halves every this many pairs; throws
-  /// std::invalid_argument unless it is positive and finite.
+  /// `half_life_pairs`: decayed count halves every this many pairs.
   /// `min_effective_support`: decayed count needed for a rule to be active.
+  /// Throws std::invalid_argument unless both are positive and finite.
   IncrementalRuleset(std::uint32_t min_support, double half_life_pairs = 10'000.0,
                      double min_effective_support = 2.5);
 
@@ -205,6 +205,11 @@ class IncrementalRuleset final : public Strategy {
   BlockMeasures test_block(Block block) override;
 
   [[nodiscard]] std::size_t active_rules() const;
+  /// Active rules of one source: the count its coverage test reads.
+  [[nodiscard]] std::uint32_t active_rules(HostId source) const;
+  /// Decayed count of a rule as of the last sweep plus the sightings since;
+  /// 0 when it is not held.
+  [[nodiscard]] double decayed_count(HostId source, HostId replier) const;
 
  private:
   void train(const QueryReplyPair& pair);
@@ -216,32 +221,33 @@ class IncrementalRuleset final : public Strategy {
   double min_effective_;
   std::uint64_t pairs_seen_ = 0;
   std::uint64_t pairs_at_last_decay_ = 0;
-  // Decayed counts, dense so the decay sweep touches live entries only:
-  // entries_ holds each (source<<32 | replier) key with its count, index_of_
-  // maps a key to its entry, and a dropped entry is swap-removed.
-  struct Decayed {
-    std::uint64_t key = 0;
-    double count = 0.0;
-  };
-  std::vector<Decayed> entries_;
+  // Decayed counts, dense so the decay sweep touches live entries only and
+  // its multiply streams over counts_ alone: counts_[i] belongs to keys_[i]
+  // (source<<32 | replier), index_of_ maps a key to its slot, and a dropped
+  // entry is swap-removed from both arrays.
+  std::vector<double> counts_;
+  std::vector<std::uint64_t> keys_;
   util::FlatCountMap<std::uint64_t, std::uint32_t> index_of_;
+  std::vector<std::size_t> marks_;  ///< decay_all's marked slots, reused
   // Each source's number of active rules, so the coverage test is one
-  // lookup.  train() bumps a source when one of its counts crosses
-  // min_effective_; the decay sweep recounts them all.  Only sources with
-  // an active rule have an entry.
+  // lookup.  It changes only where a count crosses min_effective_: train()
+  // bumps a source when one rises to it, and the decay sweep lowers one when
+  // an entry decays below it or is dropped while still at or above it.
+  // Only sources with an active rule have an entry.
   util::FlatCountMap<HostId, std::uint32_t> active_of_;
 };
 
 /// Streaming variant built on Lossy Counting (Manku & Motwani) instead of
 /// exponential decay — the bounded-memory realization of the Section VI
-/// pointer to data-stream mining [18].  Two counters rotate every
+/// pointer to data-stream mining [18].  One two-epoch counter rotates every
 /// `epoch_pairs` items; a rule is active when its combined estimated count
 /// over the current and previous epoch reaches `min_effective_support`.
 /// Prequential evaluation, like IncrementalRuleset.
 class StreamingRuleset final : public Strategy {
  public:
-  /// Throws std::invalid_argument for a zero `epoch_pairs` or an `epsilon`
-  /// outside (0, 1).
+  /// Throws std::invalid_argument for a zero `epoch_pairs`, an `epsilon`
+  /// outside (0, 1), or a `min_effective_support` that is not positive and
+  /// finite.
   StreamingRuleset(std::uint32_t min_support, double epsilon = 1e-3,
                    std::uint64_t epoch_pairs = 10'000,
                    double min_effective_support = 3.0);
@@ -250,35 +256,35 @@ class StreamingRuleset final : public Strategy {
   void bootstrap(Block first_block) override;
   BlockMeasures test_block(Block block) override;
 
-  /// Entries currently held across both counters (memory footprint probe).
-  [[nodiscard]] std::size_t table_size() const {
-    return current_.table_size() + previous_.table_size();
+  /// Pair entries held for either epoch (memory footprint probe).
+  [[nodiscard]] std::size_t table_size() const { return counter_.table_size(); }
+  /// The two-epoch pair counter, keyed (source << 32 | replier).
+  [[nodiscard]] const assoc::LossyCounter& counter() const noexcept {
+    return counter_;
   }
+  /// Active rules of one source: the count its coverage test reads.
+  [[nodiscard]] std::uint32_t active_rules(HostId source) const;
 
  private:
   void train(const QueryReplyPair& pair);
-  [[nodiscard]] std::uint64_t pair_count(HostId source, HostId replier) const;
   /// A combined count makes a rule active when it reaches the (possibly
   /// fractional) threshold, compared in double.
   [[nodiscard]] bool active(std::uint64_t count) const {
     return static_cast<double>(count) >= min_effective_;
   }
-  [[nodiscard]] bool rule_active(HostId source, HostId replier) const {
-    return active(pair_count(source, replier));
-  }
+  [[nodiscard]] bool rule_active(HostId source, HostId replier) const;
   [[nodiscard]] bool host_covered(HostId source) const;
-  void recount_active();
 
   double min_effective_;
   std::uint64_t epoch_pairs_;
   std::uint64_t pairs_in_epoch_ = 0;
-  assoc::LossyCounter current_;
-  assoc::LossyCounter previous_;
+  assoc::LossyCounter counter_;
   // Each source's number of active rules, so the coverage test is one
-  // lookup.  train() bumps a source when a combined count crosses the
-  // threshold; a prune of current_ and the epoch rotation, which can lower
-  // counts, recount them all.  Only sources with an active rule have an
-  // entry.
+  // lookup.  It changes only where a combined count crosses the threshold:
+  // train() settles the trained key from its counts before and after the
+  // add, a prune lowers the source of each other entry it takes from active
+  // to inactive, and the epoch rotation rebuilds it in the pass that shifts
+  // the counts.  Only sources with an active rule have an entry.
   util::FlatCountMap<HostId, std::uint32_t> active_of_;
 };
 

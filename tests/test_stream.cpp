@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "assoc/stream.hpp"
 #include "core/strategy.hpp"
@@ -121,6 +126,91 @@ TEST(LossyCounter, AddReportsThePruneAtEachBucketEnd) {
   EXPECT_EQ(counter.table_size(), 1u);
 }
 
+TEST(LossyCounter, PreviousCountsSurviveOneRotationAndAreGoneAfterTwo) {
+  assoc::LossyCounter counter(0.01);  // bucket width 100: no prune here
+  for (int i = 0; i < 3; ++i) counter.add(1);
+  counter.add(2);
+  counter.rotate();
+  EXPECT_EQ(counter.counts(1).previous, 3u);
+  EXPECT_EQ(counter.count(1), 0u);  // per-epoch view: not seen this epoch
+  EXPECT_EQ(counter.counts(2).total(), 1u);
+  EXPECT_EQ(counter.items_processed(), 0u);
+  EXPECT_EQ(counter.table_size(), 2u);
+
+  counter.add(2);
+  counter.add(3);
+  EXPECT_EQ(counter.counts(2).count, 1u);
+  EXPECT_EQ(counter.counts(2).previous, 1u);
+  // frequent() reports this epoch's keys only, even at a threshold <= 0.
+  std::map<std::uint64_t, std::uint64_t> frequent;
+  for (const auto& [key, count] : counter.frequent(0.0)) frequent[key] = count;
+  EXPECT_EQ(frequent, (std::map<std::uint64_t, std::uint64_t>{{2, 1}, {3, 1}}));
+
+  std::map<std::uint64_t, std::uint64_t> kept;
+  counter.rotate([&](std::uint64_t key, std::uint64_t previous) {
+    kept[key] = previous;
+  });
+  // Key 1 had only a previous count: two rotations forget it.
+  EXPECT_EQ(kept, (std::map<std::uint64_t, std::uint64_t>{{2, 1}, {3, 1}}));
+  EXPECT_EQ(counter.counts(1).total(), 0u);
+  EXPECT_EQ(counter.table_size(), 2u);
+  counter.rotate();
+  EXPECT_EQ(counter.table_size(), 0u);
+}
+
+TEST(LossyCounter, PruneReportsExactlyTheRemovedEntries) {
+  assoc::LossyCounter counter(0.25);  // bucket width 4
+  std::map<std::uint64_t, assoc::LossyCounter::Counts> reported;
+  auto record = [&](std::uint64_t key, assoc::LossyCounter::Counts counts) {
+    EXPECT_TRUE(reported.emplace(key, counts).second) << "reported twice: " << key;
+  };
+  for (const std::uint64_t key : {1u, 2u, 1u}) {
+    EXPECT_FALSE(counter.add(key, record).pruned);
+  }
+  EXPECT_TRUE(reported.empty());
+  // The 4th item closes bucket 1: keys 2 and 3 (count 1, no undercount)
+  // are removed, key 1 (count 2) stays.  Key 3 is counted and removed by
+  // the same add.
+  const assoc::LossyCounter::Added fresh = counter.add(3, record);
+  EXPECT_TRUE(fresh.pruned);
+  EXPECT_EQ(fresh.before, 0u);
+  EXPECT_EQ(fresh.after, 0u);
+  ASSERT_EQ(reported.size(), 2u);
+  EXPECT_EQ(reported.at(2).count, 1u);
+  EXPECT_EQ(reported.at(3).count, 1u);
+  EXPECT_EQ(reported.at(3).previous, 0u);
+  EXPECT_EQ(counter.table_size(), 1u);
+
+  // A removed entry with a previous-epoch count stays held at count 0.
+  counter.rotate();  // key 1: previous 2
+  reported.clear();
+  counter.add(5, record);
+  counter.add(5, record);
+  counter.add(6, record);
+  const assoc::LossyCounter::Added kept = counter.add(1, record);
+  EXPECT_TRUE(kept.pruned);
+  EXPECT_EQ(kept.before, 2u);
+  EXPECT_EQ(kept.after, 2u);
+  ASSERT_EQ(reported.size(), 2u);
+  EXPECT_EQ(reported.at(6).count, 1u);
+  EXPECT_EQ(reported.at(1).count, 1u);
+  EXPECT_EQ(reported.at(1).previous, 2u);
+  EXPECT_EQ(counter.counts(1).count, 0u);
+  EXPECT_EQ(counter.counts(1).previous, 2u);
+  EXPECT_EQ(counter.count(5), 2u);
+  EXPECT_EQ(counter.table_size(), 2u);  // keys 5 and 1
+  // Not counted this epoch: bounded by the buckets it may have missed.
+  EXPECT_EQ(counter.upper_bound(1), 1u);
+
+  // A surviving count grows by one and reports nothing.
+  reported.clear();
+  const assoc::LossyCounter::Added grown = counter.add(5, record);
+  EXPECT_FALSE(grown.pruned);
+  EXPECT_EQ(grown.before, 2u);
+  EXPECT_EQ(grown.after, 3u);
+  EXPECT_TRUE(reported.empty());
+}
+
 // --- StreamingRuleset -------------------------------------------------------------
 
 std::vector<trace::QueryReplyPair> block_of(core::HostId source,
@@ -206,6 +296,148 @@ TEST(StreamingRuleset, TableSizeStaysSmall) {
   }
   // Bounded by the lossy-counting guarantee, not by the stream length.
   EXPECT_LT(strategy.table_size(), 5'000u);
+}
+
+TEST(StreamingRuleset, RejectsNonPositiveOrNonFiniteThreshold) {
+  // A threshold of 0 made every unseen pair active, so train() never counted
+  // a source and a bootstrapped key covered nothing until the first prune;
+  // NaN never activates a rule.
+  for (const double threshold : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(core::StreamingRuleset(1, 1e-3, 10'000, threshold),
+                 std::invalid_argument)
+        << threshold;
+  }
+  EXPECT_NO_THROW(core::StreamingRuleset(1, 1e-3, 10'000, 0.5));
+}
+
+TEST(IncrementalRuleset, RejectsNonPositiveOrNonFiniteThreshold) {
+  // A NaN threshold never activated a rule: coverage was silently 0.
+  for (const double threshold : {0.0, -2.5, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(core::IncrementalRuleset(10, 1e4, threshold),
+                 std::invalid_argument)
+        << threshold;
+  }
+  EXPECT_NO_THROW(core::IncrementalRuleset(10, 1e4, 0.04));
+}
+
+// --- Active-rule upkeep ------------------------------------------------------------
+//
+// Both prequential strategies keep each source's active-rule count and
+// adjust it only where a count crosses the threshold.  Fed a drifting
+// stream over a handful of hosts one pair at a time, under settings that
+// prune, rotate, decay and drop often, the count must after every pair
+// equal a recount over the pair counts, and the coverage and success
+// answers must match the counts the pair was tested against.
+
+constexpr core::HostId kSources = 4;
+constexpr core::HostId kRepliers = 6;
+
+/// Mostly one of three hot (source, replier) pairs that change every 500
+/// pairs; 2% of pairs are uniform over all of them, so cold pairs gather
+/// one or two sightings and then lapse.
+class DriftingPairs {
+ public:
+  explicit DriftingPairs(std::uint64_t seed) : rng_(seed) {}
+
+  trace::QueryReplyPair next() {
+    if (emitted_ % 500 == 0) {
+      for (auto& hot : hot_) hot = draw();
+    }
+    const auto [source, replier] =
+        rng_.chance(0.02) ? draw() : hot_[rng_.below(hot_.size())];
+    return {.time = 0.0,
+            .guid = ++emitted_,
+            .source_host = source,
+            .replying_neighbor = replier};
+  }
+
+ private:
+  std::pair<core::HostId, core::HostId> draw() {
+    return {static_cast<core::HostId>(rng_.below(kSources)),
+            static_cast<core::HostId>(100 + rng_.below(kRepliers))};
+  }
+
+  util::Rng rng_;
+  std::uint64_t emitted_ = 0;
+  std::array<std::pair<core::HostId, core::HostId>, 3> hot_{};
+};
+
+/// Test `strategy` on `pairs` single-pair blocks.  `rule_active(source,
+/// replier)` reads the strategy's own counts; before each pair the coverage
+/// and success answers must follow from them, and after it every source's
+/// active-rule count must equal their recount.
+template <typename Strategy, typename RuleActive>
+void expect_upkeep_exact(Strategy& strategy, DriftingPairs& stream,
+                         std::size_t pairs, RuleActive&& rule_active,
+                         const std::string& label) {
+  auto recount = [&](core::HostId source) {
+    std::uint32_t active = 0;
+    for (core::HostId r = 0; r < kRepliers; ++r) active += rule_active(source, 100 + r);
+    return active;
+  };
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const trace::QueryReplyPair pair = stream.next();
+    const bool covered = recount(pair.source_host) > 0;
+    const bool matched = covered && rule_active(pair.source_host, pair.replying_neighbor);
+    const core::BlockMeasures m = strategy.test_block(std::span(&pair, 1));
+    ASSERT_EQ(m.covered, covered ? 1u : 0u) << label << " pair " << i;
+    ASSERT_EQ(m.successful, matched ? 1u : 0u) << label << " pair " << i;
+    for (core::HostId source = 0; source < kSources; ++source) {
+      ASSERT_EQ(strategy.active_rules(source), recount(source))
+          << label << " pair " << i << " source " << source;
+    }
+  }
+}
+
+TEST(StreamingRuleset, ActiveRuleCountsMatchARecountAfterEveryPair) {
+  std::uint64_t seed = 1;
+  for (const double epsilon : {0.5, 0.25, 0.1, 1e-3}) {
+    for (const std::uint64_t epoch : {3u, 7u, 10u, 64u}) {
+      for (const double threshold : {0.5, 1.0, 2.0, 2.5, 4.0}) {
+        core::StreamingRuleset strategy(1, epsilon, epoch, threshold);
+        DriftingPairs stream(seed++);
+        // Recount from the counter's held entries; a key it does not hold
+        // counts 0, which no positive threshold reaches.
+        const auto& counter = strategy.counter();
+        auto rule_active = [&](core::HostId source, core::HostId replier) {
+          const std::uint64_t key = (std::uint64_t{source} << 32) | replier;
+          bool held_active = false;
+          counter.for_each([&](std::uint64_t held, assoc::LossyCounter::Counts counts) {
+            if (held == key) {
+              held_active = static_cast<double>(counts.total()) >= threshold;
+            }
+          });
+          return held_active;
+        };
+        ASSERT_NO_FATAL_FAILURE(expect_upkeep_exact(
+            strategy, stream, 1'500, rule_active,
+            "eps " + std::to_string(epsilon) + " epoch " + std::to_string(epoch) +
+                " threshold " + std::to_string(threshold)));
+      }
+    }
+  }
+}
+
+TEST(IncrementalRuleset, ActiveRuleCountsMatchARecountAfterEveryPair) {
+  std::uint64_t seed = 1'000;
+  // Half-lives from "every sweep drops everything" to "counts decay over
+  // several sweeps"; 0.04 sits below the 0.05 drop floor, so entries are
+  // dropped while still active.
+  for (const double half_life : {1.0, 50.0, 400.0, 2'000.0}) {
+    for (const double threshold : {0.04, 0.3, 1.0, 2.5}) {
+      core::IncrementalRuleset strategy(1, half_life, threshold);
+      DriftingPairs stream(seed++);
+      auto rule_active = [&](core::HostId source, core::HostId replier) {
+        return strategy.decayed_count(source, replier) >= threshold;
+      };
+      ASSERT_NO_FATAL_FAILURE(expect_upkeep_exact(
+          strategy, stream, 6'000, rule_active,
+          "half-life " + std::to_string(half_life) + " threshold " +
+              std::to_string(threshold)));
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // The paper reports "rule set generation required no more than a few
 // seconds" on its PHP/MySQL pipeline and 45-minute full simulations.  These
 // benches document the native-code costs: rule mining, block evaluation
-// (plain and through each strategy's test_block), trace generation, Apriori,
-// and one overlay flood.
+// (plain and through each strategy's test_block), trace generation, and one
+// overlay flood.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 
 #include "bench_common.hpp"
 
-#include "assoc/apriori.hpp"
 #include "core/measures.hpp"
 #include "core/strategy.hpp"
 #include "mining/incremental_miner.hpp"
@@ -171,23 +170,6 @@ void BM_BatchRefresh(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(slide));
 }
 BENCHMARK(BM_BatchRefresh)->Arg(1'000)->Arg(10'000)->Arg(100'000);
-
-void BM_AprioriMine(benchmark::State& state) {
-  assoc::TransactionDb db;
-  util::Rng rng(5);
-  for (int t = 0; t < 500; ++t) {
-    assoc::Itemset txn;
-    for (assoc::Item item = 0; item < 20; ++item) {
-      if (rng.chance(0.25)) txn.push_back(item);
-    }
-    db.add(std::move(txn));
-  }
-  assoc::Apriori miner({.min_support_count = 25});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(miner.mine(db));
-  }
-}
-BENCHMARK(BM_AprioriMine);
 
 void BM_OverlayFloodQuery(benchmark::State& state) {
   sim::ExperimentConfig config;

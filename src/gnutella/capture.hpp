@@ -1,99 +1,4 @@
 #pragma once
-// The "modified Gnutella node" (paper Section IV-A): a protocol-level agent
-// that relays descriptors by the 0.4 rules while recording every query and
-// reply it observes into the trace pipeline.
-//
-// Per the spec it implements: GUID-based duplicate suppression, TTL
-// decrement / hop increment with drop-at-zero, reverse-path reply routing
-// (QueryHits follow the recorded query path), and the capture hooks that
-// fill trace::Database with exactly the fields the paper recorded — query
-// time / GUID / forwarding neighbor / search string, reply time / GUID /
-// replying neighbor / serving host / file name.
-
-#include <cstdint>
-#include <functional>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
+// NeighborId and normalize_query live in the codec; perfbench/src/relay.cpp
+// includes this header for them.
 #include "gnutella/codec.hpp"
-#include "trace/database.hpp"
-
-namespace aar::gnutella {
-
-/// Identifies one of the capture node's neighbor connections.
-using NeighborId = std::uint32_t;
-
-struct RelayDecision {
-  bool drop = false;                  ///< duplicate / expired / malformed
-  std::vector<NeighborId> forward_to; ///< neighbors to relay the message to
-  /// Header to stamp on the relayed frame: TTL decremented, hops
-  /// incremented (the 0.4 relay rules).  Valid whenever forward_to is
-  /// non-empty — a relay that reused the incoming header verbatim would
-  /// loop the descriptor forever at its original TTL.
-  Header forward_header{};
-  std::string drop_reason;
-};
-
-/// The message as it must leave the node: identical payload, rewritten
-/// header (`decision.forward_header`).  Only meaningful for a non-drop
-/// decision.
-[[nodiscard]] Message relayed_message(const Message& message,
-                                      const RelayDecision& decision);
-
-class CaptureNode {
- public:
-  /// `clock` supplies capture timestamps (block units in this library).
-  explicit CaptureNode(std::vector<NeighborId> neighbors,
-                       std::function<double()> clock);
-
-  /// Process one message arriving from `from`.  Applies the relay rules,
-  /// records queries / query-hits, and returns what a real servent would do
-  /// with the descriptor.
-  RelayDecision on_message(NeighborId from, const Message& message);
-
-  /// Live-connection churn hooks for the networked daemon (aar_node): a
-  /// real node's neighbor set changes as connections come and go.  Flood
-  /// decisions cover the neighbors present at on_message time; reverse
-  /// routes to a removed neighbor simply stop resolving to a live socket.
-  void add_neighbor(NeighborId neighbor);
-  void remove_neighbor(NeighborId neighbor);
-  [[nodiscard]] const std::vector<NeighborId>& neighbors() const noexcept {
-    return neighbors_;
-  }
-
-  /// The capture database (run join() on it to get the pair table).
-  [[nodiscard]] trace::Database& database() noexcept { return db_; }
-  [[nodiscard]] const trace::Database& database() const noexcept { return db_; }
-
-  [[nodiscard]] std::uint64_t queries_seen() const noexcept {
-    return queries_seen_;
-  }
-  [[nodiscard]] std::uint64_t hits_seen() const noexcept { return hits_seen_; }
-  [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
-    return duplicates_dropped_;
-  }
-  [[nodiscard]] std::uint64_t expired_dropped() const noexcept {
-    return expired_dropped_;
-  }
-
- private:
-  std::vector<NeighborId> neighbors_;
-  std::function<double()> clock_;
-  trace::Database db_;
-
-  /// GUID routing table: query GUID -> neighbor it arrived from (reverse
-  /// path for its QueryHits) — the real Gnutella mechanism.
-  std::unordered_map<std::uint64_t, NeighborId> query_route_;
-
-  std::uint64_t queries_seen_ = 0;
-  std::uint64_t hits_seen_ = 0;
-  std::uint64_t duplicates_dropped_ = 0;
-  std::uint64_t expired_dropped_ = 0;
-};
-
-/// Normalize a search string to the trace pipeline's QueryKey (FNV-1a of the
-/// lowercased text, truncated) — the "query string collapses to an id" step.
-[[nodiscard]] trace::QueryKey normalize_query(const std::string& search) noexcept;
-
-}  // namespace aar::gnutella

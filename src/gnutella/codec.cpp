@@ -1,6 +1,7 @@
 #include "gnutella/codec.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <stdexcept>
 
@@ -304,6 +305,16 @@ Message make_pong(const WireGuid& ping_guid, std::uint8_t ttl,
   message.header.ttl = ttl;
   message.pong = pong;
   return message;
+}
+
+trace::QueryKey normalize_query(const std::string& search) noexcept {
+  std::uint32_t hash = 2166136261u;  // FNV-1a 32
+  for (char ch : search) {
+    hash ^= static_cast<std::uint8_t>(
+        std::tolower(static_cast<unsigned char>(ch)));
+    hash *= 16777619u;
+  }
+  return hash;
 }
 
 }  // namespace aar::gnutella

@@ -7,10 +7,8 @@
 //
 //   * QueryTable — the GUID join/route table (query GUID -> origin
 //     connection, query key, rule-routed flag), striped by GUID hash so
-//     shards handling different connections rarely contend.  It unifies the
-//     old daemon's CaptureNode reverse-route map and its pending-query join
-//     table: one insert at query time serves both the QueryHit reverse path
-//     and the miner join.
+//     shards handling different connections rarely contend.  One insert at
+//     query time serves both the QueryHit reverse path and the miner join.
 //   * PeerDirectory — the live-connection roster.  Mutating it (accept /
 //     disconnect) publishes a fresh immutable, id-sorted PeerList;
 //     shards cache the list by version counter and re-fetch only when the
@@ -46,7 +44,7 @@
 #include <vector>
 
 #include "core/ruleset.hpp"
-#include "gnutella/capture.hpp"
+#include "gnutella/codec.hpp"
 #include "mining/incremental_miner.hpp"
 #include "mining/window_merge.hpp"
 #include "trace/record.hpp"

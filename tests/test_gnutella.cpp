@@ -1,5 +1,3 @@
-#include "core/ruleset.hpp"
-#include "gnutella/capture.hpp"
 #include "gnutella/codec.hpp"
 
 #include <gtest/gtest.h>
@@ -155,177 +153,9 @@ TEST(FrameDecoder, ResynchronizesPastGarbageFrames) {
   EXPECT_EQ(decoder.malformed_frames(), 1u);
 }
 
-// --- capture node ------------------------------------------------------------------
-
-CaptureNode make_node() {
-  return CaptureNode({1, 2, 3}, [] {
-    static double t = 0.0;
-    return t += 0.001;
-  });
-}
-
-TEST(CaptureNode, RelaysQueriesToOtherNeighbors) {
-  CaptureNode node = make_node();
-  const RelayDecision decision =
-      node.on_message(2, make_query(make_wire_guid(20), 7, 0, "x"));
-  EXPECT_FALSE(decision.drop);
-  EXPECT_EQ(decision.forward_to, (std::vector<NeighborId>{1, 3}));
-  EXPECT_EQ(node.queries_seen(), 1u);
-}
-
-TEST(CaptureNode, DropsDuplicateGuids) {
-  CaptureNode node = make_node();
-  const Message query = make_query(make_wire_guid(21), 7, 0, "x");
-  node.on_message(1, query);
-  const RelayDecision second = node.on_message(2, query);
-  EXPECT_TRUE(second.drop);
-  EXPECT_EQ(node.duplicates_dropped(), 1u);
-  // Both sightings were captured (the paper's raw table had duplicates).
-  EXPECT_EQ(node.database().queries().size(), 2u);
-}
-
-TEST(CaptureNode, DropsExpiredTtl) {
-  CaptureNode node = make_node();
-  const RelayDecision decision =
-      node.on_message(1, make_query(make_wire_guid(22), 1, 0, "x"));
-  EXPECT_TRUE(decision.drop);
-  EXPECT_EQ(node.expired_dropped(), 1u);
-}
-
-TEST(CaptureNode, RoutesHitsAlongReversePath) {
-  CaptureNode node = make_node();
-  const WireGuid guid = make_wire_guid(23);
-  node.on_message(2, make_query(guid, 7, 0, "song"));
-  const RelayDecision decision = node.on_message(
-      3, make_query_hit(guid, 7, make_wire_guid(99),
-                        {{.file_index = 1, .file_size = 1, .file_name = "song"}}));
-  EXPECT_FALSE(decision.drop);
-  EXPECT_EQ(decision.forward_to, (std::vector<NeighborId>{2}));
-  EXPECT_EQ(node.hits_seen(), 1u);
-}
-
-TEST(CaptureNode, DropsHitsWithoutRoute) {
-  CaptureNode node = make_node();
-  const RelayDecision decision = node.on_message(
-      3, make_query_hit(make_wire_guid(24), 7, make_wire_guid(99), {}));
-  EXPECT_TRUE(decision.drop);
-  EXPECT_EQ(decision.drop_reason, "no reverse route");
-}
-
-TEST(CaptureNode, CaptureFeedsThePipeline) {
-  CaptureNode node = make_node();
-  // Two queries from neighbor 1, answered through neighbor 3.
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const WireGuid guid = make_wire_guid(100 + i);
-    node.on_message(1, make_query(guid, 7, 0, "jazz"));
-    node.on_message(
-        3, make_query_hit(guid, 7, make_wire_guid(7'000),
-                          {{.file_index = 1, .file_size = 9,
-                            .file_name = "jazz"}}));
-  }
-  trace::Database& db = node.database();
-  EXPECT_EQ(db.join(), 8u);
-  for (const trace::QueryReplyPair& pair : db.pairs()) {
-    EXPECT_EQ(pair.source_host, 1u);
-    EXPECT_EQ(pair.replying_neighbor, 3u);
-  }
-  // The captured pairs mine into the expected rule.
-  const core::RuleSet rules = core::RuleSet::build(db.pairs(), 5);
-  EXPECT_TRUE(rules.matches(1, 3));
-}
-
-TEST(CaptureNode, NormalizeQueryIsCaseInsensitive) {
+TEST(Codec, NormalizeQueryIsCaseInsensitive) {
   EXPECT_EQ(normalize_query("Led Zeppelin"), normalize_query("led zeppelin"));
   EXPECT_NE(normalize_query("a"), normalize_query("b"));
-}
-
-// --- relay header rewrite (the 0.4 TTL/hops rules) -----------------------
-
-TEST(CaptureNode, RelayDecrementsTtlAndIncrementsHops) {
-  CaptureNode node = make_node();
-  const Message query = make_query(make_wire_guid(40), 5, 0, "x");
-  const RelayDecision decision = node.on_message(1, query);
-  ASSERT_FALSE(decision.drop);
-  EXPECT_EQ(decision.forward_header.ttl, 4);
-  EXPECT_EQ(decision.forward_header.hops, 1);
-  // Everything else is untouched: same descriptor, one hop older.
-  EXPECT_EQ(decision.forward_header.guid, query.header.guid);
-  EXPECT_EQ(decision.forward_header.type, MessageType::kQuery);
-}
-
-TEST(CaptureNode, RelayedHitCarriesRewrittenHeader) {
-  CaptureNode node = make_node();
-  const WireGuid guid = make_wire_guid(41);
-  node.on_message(2, make_query(guid, 7, 0, "song"));
-  Message hit = make_query_hit(
-      guid, 6, make_wire_guid(99),
-      {{.file_index = 1, .file_size = 1, .file_name = "song"}});
-  hit.header.hops = 2;
-  const RelayDecision decision = node.on_message(3, hit);
-  ASSERT_FALSE(decision.drop);
-  EXPECT_EQ(decision.forward_header.ttl, 5);
-  EXPECT_EQ(decision.forward_header.hops, 3);
-}
-
-TEST(CaptureNode, RelayedPingCarriesRewrittenHeader) {
-  CaptureNode node = make_node();
-  const RelayDecision decision =
-      node.on_message(1, make_ping(make_wire_guid(42), 4));
-  ASSERT_FALSE(decision.drop);
-  EXPECT_EQ(decision.forward_header.ttl, 3);
-  EXPECT_EQ(decision.forward_header.hops, 1);
-}
-
-TEST(CaptureNode, RelayedBytesCarryRewrittenHeader) {
-  // The wire-level regression: the frame a node actually emits must differ
-  // from the frame it received in exactly TTL-1 / hops+1.
-  CaptureNode node = make_node();
-  const Message query = make_query(make_wire_guid(43), 7, 10, "the wall");
-  const RelayDecision decision = node.on_message(2, query);
-  ASSERT_FALSE(decision.drop);
-  const auto bytes = serialize(relayed_message(query, decision));
-  const ParseResult parsed = parse(bytes);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.message.header.ttl, 6);
-  EXPECT_EQ(parsed.message.header.hops, 1);
-  EXPECT_EQ(parsed.message.header.guid, query.header.guid);
-  EXPECT_EQ(parsed.message.query.search, "the wall");
-  EXPECT_EQ(parsed.message.query.min_speed, 10);
-}
-
-TEST(CaptureNode, RelayedQueryExpiresHopByHop) {
-  // Drop-at-zero across a chain of relays: ttl 3 survives two rewrites and
-  // the third node refuses to forward it further.
-  const Message origin = make_query(make_wire_guid(44), 3, 0, "x");
-
-  CaptureNode first = make_node();
-  const RelayDecision hop1 = first.on_message(1, origin);
-  ASSERT_FALSE(hop1.drop);
-  const Message after1 = relayed_message(origin, hop1);
-  EXPECT_EQ(after1.header.ttl, 2);
-
-  CaptureNode second = make_node();
-  const RelayDecision hop2 = second.on_message(1, after1);
-  ASSERT_FALSE(hop2.drop);
-  const Message after2 = relayed_message(after1, hop2);
-  EXPECT_EQ(after2.header.ttl, 1);
-  EXPECT_EQ(after2.header.hops, 2);
-
-  CaptureNode third = make_node();
-  const RelayDecision hop3 = third.on_message(1, after2);
-  EXPECT_TRUE(hop3.drop);
-  EXPECT_EQ(hop3.drop_reason, "TTL expired");
-}
-
-TEST(CaptureNode, NeighborChurnChangesFloodSet) {
-  CaptureNode node = make_node();
-  node.remove_neighbor(3);
-  node.add_neighbor(7);
-  node.add_neighbor(7);  // idempotent
-  const RelayDecision decision =
-      node.on_message(2, make_query(make_wire_guid(45), 7, 0, "x"));
-  EXPECT_EQ(decision.forward_to, (std::vector<NeighborId>{1, 7}));
-  EXPECT_EQ(node.neighbors(), (std::vector<NeighborId>{1, 2, 7}));
 }
 
 }  // namespace

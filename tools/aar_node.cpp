@@ -117,10 +117,13 @@ int cmd_serve(const util::Cli& options) {
     config.bind_addr = options.get("bind", "");
     config.allow_nonloopback = true;
   }
-  config.window = options.num<std::size_t>("window", 4096);
-  config.min_support = options.num<std::uint32_t>("min-support", 2);
+  // The mining knobs start at 1: a 0 window never evicts (memory and the
+  // checkpoint grow without bound), a 0 top-k floods every query even where
+  // rules exist, and the miner refuses a 0 support.
+  config.window = options.num<std::size_t>("window", 4096, 1);
+  config.min_support = options.num<std::uint32_t>("min-support", 2, 1);
   config.rebuild_every = options.num<std::size_t>("rebuild-every", 64);
-  config.top_k = options.num<std::size_t>("top-k", 2);
+  config.top_k = options.num<std::size_t>("top-k", 2, 1);
   config.retries = options.num<std::uint32_t>("retries", 3);
   config.backoff_ms = options.num<std::uint32_t>("backoff-ms", 10);
   config.backoff_jitter_ms = options.num<std::uint32_t>("jitter-ms", 0);

@@ -5,12 +5,33 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace aar::overlay {
 namespace {
 
 Query make_query(workload::Category category = 0) {
   return Query{.guid = 1, .target = 0, .category = category, .origin = 0};
+}
+
+/// The simulator routes every event into one shared emission buffer, so
+/// route() must leave what `out` already holds alone: routed into an `out`
+/// of sentinels, it appends after them exactly what it appends to an empty
+/// `out`, with the same verdict.
+void expect_appends_after_existing(RoutingPolicy& policy, NodeId from,
+                                   const std::vector<NodeId>& neighbors) {
+  const std::vector<NodeId> sentinels{901, 902, 903};
+  util::Rng empty_rng(11);
+  std::vector<NodeId> from_empty;
+  const bool empty_directed =
+      policy.route(make_query(), 0, from, neighbors, empty_rng, from_empty);
+  util::Rng rng(11);
+  std::vector<NodeId> out = sentinels;
+  const bool directed = policy.route(make_query(), 0, from, neighbors, rng, out);
+  EXPECT_EQ(directed, empty_directed);
+  ASSERT_GE(out.size(), sentinels.size());
+  EXPECT_EQ(std::vector<NodeId>(out.begin(), out.begin() + 3), sentinels);
+  EXPECT_EQ(std::vector<NodeId>(out.begin() + 3, out.end()), from_empty);
 }
 
 // --- AssociationRoutingPolicy ------------------------------------------------
@@ -106,6 +127,27 @@ TEST(AssociationPolicy, SlidingWindowForgetsOldPairs) {
   EXPECT_TRUE(policy.rules().matches(8, 4));
 }
 
+TEST(AssociationPolicy, RouteAppendsAfterExistingEntries) {
+  AssociationPolicyConfig config;
+  config.min_support = 2;
+  config.rebuild_every = 4;
+  AssociationRoutingPolicy policy(config);
+  for (trace::Guid g = 0; g < 8; ++g) {
+    Query q = make_query();
+    q.guid = g;
+    policy.on_reply_path(q, 0, 7, 3);
+  }
+  // Rule-routed: {7} -> {3}.
+  expect_appends_after_existing(policy, 7, {1, 3, 7, 9});
+  // The consequent has churned away: the rule matches but nothing survives,
+  // so the policy floods.
+  expect_appends_after_existing(policy, 7, {1, 9});
+  // No rule for antecedent 8: flood.
+  expect_appends_after_existing(policy, 8, {1, 3, 8, 9});
+  EXPECT_EQ(policy.rule_hits(), 2u);
+  EXPECT_EQ(policy.floods(), 4u);
+}
+
 TEST(AssociationPolicy, WantsFloodFallback) {
   AssociationRoutingPolicy policy;
   EXPECT_TRUE(policy.wants_flood_fallback());
@@ -159,6 +201,19 @@ TEST(ShortcutsPolicy, ProbesRespectLimit) {
   std::vector<NodeId> probes;
   policy.probe_candidates(make_query(), 0, probes);
   EXPECT_EQ(probes, (std::vector<NodeId>{5, 4}));
+}
+
+TEST(ShortcutsPolicy, RouteAppendsAfterExistingEntries) {
+  InterestShortcutsPolicy policy;
+  policy.on_search_result(make_query(), 0, true, 3);
+  expect_appends_after_existing(policy, 7, {1, 3, 7, 9});
+}
+
+// --- FloodingPolicy ----------------------------------------------------------
+
+TEST(FloodingPolicy, RouteAppendsAfterExistingEntries) {
+  FloodingPolicy policy;
+  expect_appends_after_existing(policy, 7, {1, 3, 7, 9});
 }
 
 // --- RoutingIndexTable / policy ----------------------------------------------

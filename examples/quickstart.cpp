@@ -10,6 +10,7 @@
 //   4. ask a Forwarder where a query from a given neighbor should go.
 
 #include <iostream>
+#include <vector>
 
 #include "core/forwarder.hpp"
 #include "core/measures.hpp"
@@ -44,12 +45,16 @@ int main() {
   // 4. Forwarding decisions: top-1 consequent, flood when no rule matches.
   core::Forwarder forwarder({.k = 1, .mode = core::SelectionMode::kTopK});
   util::Rng rng(1);
+  std::vector<core::HostId> targets;  // reused: choose() appends to it
   std::size_t rule_routed = 0;
   std::size_t flooded = 0;
   for (const trace::QueryReplyPair& pair : today) {
-    const core::ForwardDecision decision =
-        forwarder.decide(rules, pair.source_host, rng);
-    decision.rule_routed() ? ++rule_routed : ++flooded;
+    targets.clear();
+    if (forwarder.choose(rules, pair.source_host, rng, targets) > 0) {
+      ++rule_routed;
+    } else {
+      ++flooded;
+    }
   }
   std::cout << "of " << today.size() << " queries: " << rule_routed
             << " rule-routed to one neighbor, " << flooded

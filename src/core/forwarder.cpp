@@ -25,20 +25,6 @@ void append_targets(std::span<const Consequent> all, SelectionMode mode,
 
 }  // namespace
 
-ForwardDecision Forwarder::decide(const RuleSet& rules, HostId source,
-                                  util::Rng& rng, std::size_t extra_k) const {
-  ForwardDecision decision;
-  const std::span<const Consequent> all = rules.consequents(source);
-  const std::size_t k = config_.k + extra_k;
-  if (!all.empty()) {
-    decision.targets.reserve(
-        config_.mode == SelectionMode::kTopK ? std::min(k, all.size()) : all.size());
-    append_targets(all, config_.mode, k, rng, decision.targets);
-  }
-  decision.flood = decision.targets.empty();
-  return decision;
-}
-
 std::size_t Forwarder::choose(const RuleSet& rules, HostId source,
                               util::Rng& rng, std::vector<HostId>& out,
                               std::size_t extra_k) const {

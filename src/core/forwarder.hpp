@@ -24,6 +24,7 @@ struct ForwarderConfig {
   SelectionMode mode = SelectionMode::kTopK;
 };
 
+/// What decide() returns: the chosen targets in a vector of their own.
 struct ForwardDecision {
   std::vector<HostId> targets;  ///< neighbors to forward to (rule-driven)
   bool flood = false;           ///< no rule matched — revert to flooding
@@ -36,19 +37,26 @@ class Forwarder {
  public:
   explicit Forwarder(ForwarderConfig config = {}) : config_(config) {}
 
-  /// Decide for a query received from `source`.  When the rule set has no
-  /// antecedent for `source`, the decision is to flood.  `extra_k` widens
-  /// the fan-out beyond the configured k (retry-ladder degradation:
-  /// rule-route, then widened top-k, then flood).
-  [[nodiscard]] ForwardDecision decide(const RuleSet& rules, HostId source,
-                                       util::Rng& rng,
-                                       std::size_t extra_k = 0) const;
-
-  /// decide() into a buffer the caller owns: append the targets to `out`
-  /// and return how many were appended (0 = flood).  Draws from `rng`
-  /// exactly as decide() does.
+  /// The forwarding decision for a query received from `source`: append
+  /// its targets to `out`, a buffer the caller owns, and return how many
+  /// were appended.  0 means the rule set has no antecedent for `source`
+  /// and the query floods.  `extra_k` widens the fan-out beyond the
+  /// configured k (retry-ladder degradation: rule-route, then widened
+  /// top-k, then flood).
   std::size_t choose(const RuleSet& rules, HostId source, util::Rng& rng,
                      std::vector<HostId>& out, std::size_t extra_k = 0) const;
+
+  /// choose() into a fresh vector.  No library code, tool or example calls
+  /// it: it stays only because perfbench/src/relay.cpp does, and goes at
+  /// the next change to the benchmark (as gnutella/capture.hpp does).
+  [[nodiscard]] ForwardDecision decide(const RuleSet& rules, HostId source,
+                                       util::Rng& rng,
+                                       std::size_t extra_k = 0) const {
+    ForwardDecision decision;
+    decision.flood =
+        choose(rules, source, rng, decision.targets, extra_k) == 0;
+    return decision;
+  }
 
   [[nodiscard]] const ForwarderConfig& config() const noexcept { return config_; }
 

@@ -29,33 +29,33 @@ RuleSet sample_rules() {
 TEST(Forwarder, UnknownAntecedentFloods) {
   Forwarder forwarder;
   util::Rng rng(1);
-  const ForwardDecision decision = forwarder.decide(sample_rules(), 99, rng);
-  EXPECT_TRUE(decision.flood);
-  EXPECT_FALSE(decision.rule_routed());
-  EXPECT_TRUE(decision.targets.empty());
+  std::vector<HostId> targets;
+  EXPECT_EQ(forwarder.choose(sample_rules(), 99, rng, targets), 0u);
+  EXPECT_TRUE(targets.empty());
 }
 
 TEST(Forwarder, TopKPicksHighestSupport) {
   Forwarder forwarder({.k = 2, .mode = SelectionMode::kTopK});
   util::Rng rng(2);
-  const ForwardDecision decision = forwarder.decide(sample_rules(), 1, rng);
-  EXPECT_TRUE(decision.rule_routed());
-  EXPECT_EQ(decision.targets, (std::vector<HostId>{100, 101}));
+  std::vector<HostId> targets;
+  EXPECT_EQ(forwarder.choose(sample_rules(), 1, rng, targets), 2u);
+  EXPECT_EQ(targets, (std::vector<HostId>{100, 101}));
 }
 
 TEST(Forwarder, KOneIsSingleBestNeighbor) {
   Forwarder forwarder({.k = 1});
   util::Rng rng(3);
-  const ForwardDecision decision = forwarder.decide(sample_rules(), 1, rng);
-  EXPECT_EQ(decision.targets, (std::vector<HostId>{100}));
+  std::vector<HostId> targets;
+  forwarder.choose(sample_rules(), 1, rng, targets);
+  EXPECT_EQ(targets, (std::vector<HostId>{100}));
 }
 
 TEST(Forwarder, KLargerThanRulesReturnsAll) {
   Forwarder forwarder({.k = 10});
   util::Rng rng(4);
-  const ForwardDecision decision = forwarder.decide(sample_rules(), 2, rng);
-  EXPECT_EQ(decision.targets, (std::vector<HostId>{200}));
-  EXPECT_FALSE(decision.flood);
+  std::vector<HostId> targets;
+  EXPECT_EQ(forwarder.choose(sample_rules(), 2, rng, targets), 1u);
+  EXPECT_EQ(targets, (std::vector<HostId>{200}));
 }
 
 TEST(Forwarder, RandomKStaysWithinConsequents) {
@@ -63,10 +63,12 @@ TEST(Forwarder, RandomKStaysWithinConsequents) {
   util::Rng rng(5);
   const RuleSet rules = sample_rules();
   std::set<HostId> seen;
+  std::vector<HostId> targets;
   for (int i = 0; i < 100; ++i) {
-    const ForwardDecision decision = forwarder.decide(rules, 1, rng);
-    EXPECT_EQ(decision.targets.size(), 2u);
-    for (HostId h : decision.targets) {
+    targets.clear();
+    forwarder.choose(rules, 1, rng, targets);
+    EXPECT_EQ(targets.size(), 2u);
+    for (HostId h : targets) {
       EXPECT_TRUE(h == 100 || h == 101 || h == 102);
       seen.insert(h);
     }
@@ -92,8 +94,10 @@ TEST(Forwarder, RandomKIsSubsetOfConsequents) {
   const RuleSet rules = ten_way_rules();
   const Forwarder forwarder({.k = 4, .mode = SelectionMode::kRandomK});
   util::Rng rng(3);
+  std::vector<HostId> picked;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto picked = forwarder.decide(rules, 1, rng).targets;
+    picked.clear();
+    forwarder.choose(rules, 1, rng, picked);
     EXPECT_EQ(picked.size(), 4u);
     std::set<HostId> unique(picked.begin(), picked.end());
     EXPECT_EQ(unique.size(), 4u);  // no repeats
@@ -110,7 +114,8 @@ TEST(Forwarder, RandomKVariesAcrossDraws) {
   util::Rng rng(4);
   std::set<std::vector<HostId>> draws;
   for (int trial = 0; trial < 20; ++trial) {
-    auto picked = forwarder.decide(rules, 1, rng).targets;
+    std::vector<HostId> picked;
+    forwarder.choose(rules, 1, rng, picked);
     std::sort(picked.begin(), picked.end());
     draws.insert(picked);
   }
@@ -118,7 +123,8 @@ TEST(Forwarder, RandomKVariesAcrossDraws) {
 }
 
 TEST(Forwarder, ChooseAppendsWhatDecideReturns) {
-  // choose() is decide() into a caller's buffer: same targets, same draws.
+  // decide() is kept only for perfbench; it is choose() into a fresh
+  // vector: same targets, same draws.
   const RuleSet rules = ten_way_rules();
   for (const SelectionMode mode : {SelectionMode::kTopK, SelectionMode::kRandomK}) {
     const Forwarder forwarder({.k = 3, .mode = mode});
@@ -145,7 +151,9 @@ TEST(Forwarder, EmptyRuleSetAlwaysFloods) {
   Forwarder forwarder;
   util::Rng rng(6);
   const RuleSet empty;
-  EXPECT_TRUE(forwarder.decide(empty, 1, rng).flood);
+  std::vector<HostId> targets;
+  EXPECT_EQ(forwarder.choose(empty, 1, rng, targets), 0u);
+  EXPECT_TRUE(targets.empty());
 }
 
 TEST(Forwarder, ConfigIsAccessible) {

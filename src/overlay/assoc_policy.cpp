@@ -14,19 +14,20 @@ bool AssociationRoutingPolicy::route(const Query& query, NodeId self,
   // its own id (they are "received from self").  A retried query widens the
   // top-k fan-out (query.widen), trading traffic for reach before the retry
   // ladder degrades all the way to flooding.
-  const core::ForwardDecision decision =
-      forwarder_.decide(miner_.ruleset(), from, rng, query.widen);
-  if (decision.rule_routed()) {
-    // Consequents were neighbors when learned, but links may have churned;
-    // forward only to current neighbors, never back where it came from.
-    for (trace::HostId target : decision.targets) {
-      const auto node = static_cast<NodeId>(target);
-      if (node == from || node == self) continue;
-      if (std::find(neighbors.begin(), neighbors.end(), node) != neighbors.end()) {
-        out.push_back(node);
-      }
-    }
-    if (!out.empty()) {
+  const std::size_t first = out.size();
+  if (forwarder_.choose(miner_.ruleset(), from, rng, out, query.widen) > 0) {
+    // Consequents were neighbors when learned, but links may have churned:
+    // keep, in place and in order, only current neighbors, never back where
+    // the query came from.
+    const auto gone = [&](NodeId node) {
+      return node == from || node == self ||
+             std::find(neighbors.begin(), neighbors.end(), node) ==
+                 neighbors.end();
+    };
+    out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
+                             out.end(), gone),
+              out.end());
+    if (out.size() > first) {
       ++rule_hits_;
       return true;
     }

@@ -424,23 +424,17 @@ void Shard::handle_message(Connection& connection, const Message& message) {
       // determinism is claimed) still reads a settled rule_routed flag.
       std::vector<NeighborId>& targets = target_scratch_;
       targets.clear();
+      forwarder_.choose(routing().rules, connection.id, rng_, targets);
       bool rule = false;
-      const core::ForwardDecision forward =
-          forwarder_.decide(routing().rules, connection.id, rng_);
-      if (forward.rule_routed()) {
-        for (const NeighborId target : forward.targets) {
-          if (target == connection.id) continue;
+      if (!targets.empty()) {  // a rule matched: keep its live targets
+        std::erase_if(targets, [&](NeighborId target) {
+          if (target == connection.id) return true;
           const std::shared_ptr<Peer>* peer = find_peer(peers, target);
-          if (peer != nullptr &&
-              !(*peer)->stalled.load(std::memory_order_relaxed)) {
-            targets.push_back(target);
-          }
-        }
-        if (!targets.empty()) {
-          rule = true;
-        } else {
-          bump(stats_.degraded_floods);
-        }
+          return peer == nullptr ||
+                 (*peer)->stalled.load(std::memory_order_relaxed);
+        });
+        rule = !targets.empty();
+        if (!rule) bump(stats_.degraded_floods);
       }
       if (!rule) {
         for (const std::shared_ptr<Peer>& peer : peers) {

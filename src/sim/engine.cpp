@@ -419,11 +419,13 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
       continue;
     }
     r.flags |= EventResult::kRouted;
-    shard.route_scratch.clear();
+    // Policies append straight into the shard's emissions: this event's
+    // targets are the tail from emit_offset on.
+    r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
     bool directed = false;
     if (force_flood) {
       for (NodeId neighbor : graph_.neighbors(ev.node)) {
-        if (neighbor != ev.from) shard.route_scratch.push_back(neighbor);
+        if (neighbor != ev.from) shard.emissions.push_back(neighbor);
       }
     } else {
       // No shared rng in the parallel phase.  The policies of the tree never
@@ -433,14 +435,13 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
       util::Rng scratch(split_seed(query.guid, ev.node));
       directed = policies_[ev.node]->route(query, ev.node, ev.from,
                                            graph_.neighbors(ev.node), scratch,
-                                           shard.route_scratch);
+                                           shard.emissions);
     }
     if (directed) r.flags |= EventResult::kDirected;
-    r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
-    for (NodeId target : shard.route_scratch) {
-      if (target == ev.node) continue;
-      shard.emissions.push_back(target);
-    }
+    shard.emissions.erase(
+        std::remove(shard.emissions.begin() + r.emit_offset,
+                    shard.emissions.end(), ev.node),
+        shard.emissions.end());
     r.emit_count =
         static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
     shard.results.push_back(r);
@@ -513,7 +514,7 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
   // push order and do each event's whole work here.
   std::fill(cursor_.begin(), cursor_.end(), 0);
   // Idle in a revisiting pass: there is no parallel phase.
-  std::vector<NodeId>& targets = shard_state_.front().route_scratch;
+  std::vector<NodeId>& targets = shard_state_.front().emissions;
   for (const std::uint32_t s : order_.at(now)) {
     --st.frontier_size;
     const QueryEvent ev = shard_state_[s].queue.at(now)[cursor_[s]++];

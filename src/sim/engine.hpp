@@ -195,7 +195,6 @@ class Engine {
     ShardQueue queue;
     std::vector<EventResult> results;  ///< parallel to queue.at(now)
     std::vector<NodeId> emissions;
-    std::vector<NodeId> route_scratch;
   };
 
   [[nodiscard]] std::uint32_t shard_of(NodeId node) const noexcept {

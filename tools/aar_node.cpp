@@ -119,10 +119,11 @@ int cmd_serve(const util::Cli& options) {
   }
   // The mining knobs start at 1: a 0 window never evicts (memory and the
   // checkpoint grow without bound), a 0 top-k floods every query even where
-  // rules exist, and the miner refuses a 0 support.
+  // rules exist, the miner refuses a 0 support, and a 0 rebuild cadence
+  // would silently republish the rules after every pair.
   config.window = options.num<std::size_t>("window", 4096, 1);
   config.min_support = options.num<std::uint32_t>("min-support", 2, 1);
-  config.rebuild_every = options.num<std::size_t>("rebuild-every", 64);
+  config.rebuild_every = options.num<std::size_t>("rebuild-every", 64, 1);
   config.top_k = options.num<std::size_t>("top-k", 2, 1);
   config.retries = options.num<std::uint32_t>("retries", 3);
   config.backoff_ms = options.num<std::uint32_t>("backoff-ms", 10);

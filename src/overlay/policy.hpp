@@ -41,11 +41,13 @@ class RoutingPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Append to `out` the neighbors `self` forwards `query` to.  `from` is the
-  /// neighbor the query arrived from, or == self when self originated it.
-  /// `neighbors` are self's overlay links.  Returns true when the selection
-  /// was policy-*directed* (rules, indices, ...) rather than a default
-  /// flood/walk — the simulator reports this for the origin's decision.
+  /// Append to `out` the neighbors `self` forwards `query` to, leaving what
+  /// `out` already holds alone (the simulator passes one buffer for every
+  /// event of a shard).  `from` is the neighbor the query arrived from, or
+  /// == self when self originated it.  `neighbors` are self's overlay
+  /// links.  Returns true when the selection was policy-*directed* (rules,
+  /// indices, ...) rather than a default flood/walk — the simulator reports
+  /// this for the origin's decision.
   virtual bool route(const Query& query, NodeId self, NodeId from,
                      std::span<const NodeId> neighbors, util::Rng& rng,
                      std::vector<NodeId>& out) = 0;

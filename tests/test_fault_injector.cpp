@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "fault/scenario.hpp"
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace aar::fault {
 namespace {
@@ -161,6 +165,73 @@ TEST(FaultInjector, SameSeedSameVerdictStream) {
     EXPECT_EQ(va.duplicated, vb.duplicated);
     EXPECT_EQ(va.delay, vb.delay);
   }
+}
+
+// --- pinned: the verdict stream -------------------------------------------
+//
+// One seeded script of on_forward / reply_lost / probe_lost calls, mixed
+// with state flips over all four states, partitions and heals, per plan.
+// The digest folds every verdict and then the fault rng's next draw, so a
+// change that adds, skips or moves a draw, or that treats a slow, crashed,
+// free-riding or severed hop differently, moves it.
+
+std::uint64_t verdict_stream(const FaultPlan& plan, std::uint64_t seed) {
+  constexpr NodeId kNodes = 48;
+  FaultInjector injector(plan, {}, seed, kNodes);
+  util::Rng script(seed ^ 0x5c41d7ULL);
+  std::vector<std::uint8_t> bytes;
+  for (int call = 0; call < 25'000; ++call) {
+    const auto from = static_cast<NodeId>(script.below(kNodes));
+    const auto to = static_cast<NodeId>(script.below(kNodes));
+    const std::uint64_t action = script.below(100);
+    if (action < 3) {
+      injector.set_state(to, static_cast<PeerState>(script.below(4)));
+    } else if (action < 4) {
+      injector.partition(static_cast<NodeId>(1 + script.below(kNodes - 1)));
+    } else if (action < 6) {
+      injector.heal_partition();
+    } else if (action < 80) {
+      const ForwardVerdict verdict = injector.on_forward(from, to);
+      bytes.push_back(verdict.dropped ? 1 : 0);
+      bytes.push_back(verdict.duplicated ? 1 : 0);
+      util::put_u32(bytes, verdict.delay);
+    } else if (action < 90) {
+      bytes.push_back(injector.reply_lost(from, to) ? 3 : 2);
+    } else {
+      bytes.push_back(injector.probe_lost(from, to) ? 5 : 4);
+    }
+  }
+  util::put_u64(bytes, injector.rng()());
+  return util::fnv1a(bytes);
+}
+
+TEST(FaultInjectorPins, VerdictStreamIsPinned) {
+  // Drop only: every hop is a plain one unless a flip, a partition or a
+  // crash says otherwise.
+  FaultPlan drop_only;
+  drop_only.drop = 0.1;
+  // Per-link overrides beside the global drop.
+  FaultPlan links = drop_only;
+  links.links = {{.a = 1, .b = 2, .drop = 0.9},
+                 {.a = 5, .b = 40, .drop = 0.0},
+                 {.a = 17, .b = 3, .drop = 0.5}};
+  // Duplicates and delay, with slow and crashed peers from the start.
+  FaultPlan full;
+  full.drop = 0.05;
+  full.duplicate = 0.2;
+  full.max_delay = 3;
+  full.slow_extra = 2;
+  full.peers = {{.node = 4, .state = PeerState::slow},
+                {.node = 9, .state = PeerState::crashed},
+                {.node = 11, .state = PeerState::free_riding}};
+  // Duplicates alone: a duplicate draw with no delay draw after it.
+  FaultPlan duplicates;
+  duplicates.drop = 0.02;
+  duplicates.duplicate = 0.3;
+  EXPECT_EQ(verdict_stream(drop_only, 101), 0xb5dd10f05b8640d8ULL);
+  EXPECT_EQ(verdict_stream(links, 202), 0x55da8b393f1d6872ULL);
+  EXPECT_EQ(verdict_stream(full, 303), 0x988e5c831154c92cULL);
+  EXPECT_EQ(verdict_stream(duplicates, 404), 0x36432ee7bf9c6425ULL);
 }
 
 // --- scenario format -------------------------------------------------------

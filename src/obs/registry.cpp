@@ -118,6 +118,15 @@ class ObjectWriter {
   bool first_ = true;
 };
 
+/// "[lo, hi)" to one decimal.  Built by appending: GCC 12 reports a false
+/// -Wrestrict for "literal" + std::string&&.
+std::string half_open(double lo, double hi) {
+  std::string range = "[";
+  range.append(util::Table::num(lo, 1)).append(", ");
+  range.append(util::Table::num(hi, 1)).append(")");
+  return range;
+}
+
 }  // namespace
 
 void Registry::write_json(std::ostream& os, std::span<const NamedSeries> series,
@@ -248,14 +257,9 @@ void Registry::print_table(std::ostream& os) const {
       const double width =
           (h->hi() - h->lo()) / static_cast<double>(h->bins());
       const std::string mode_range =
-          "[" +
-          util::Table::num(h->lo() + width * static_cast<double>(mode), 1) +
-          ", " +
-          util::Table::num(h->lo() + width * static_cast<double>(mode + 1), 1) +
-          ")";
-      table.row({name,
-                 "[" + util::Table::num(h->lo(), 1) + ", " +
-                     util::Table::num(h->hi(), 1) + ")",
+          half_open(h->lo() + width * static_cast<double>(mode),
+                    h->lo() + width * static_cast<double>(mode + 1));
+      table.row({name, half_open(h->lo(), h->hi()),
                  std::to_string(h->total()), std::to_string(h->dropped()),
                  h->total() > 0 ? mode_range : "-"});
     }

@@ -41,7 +41,7 @@ workload::FileId SuperPeerNetwork::sample_target(std::size_t leaf) {
 
 std::size_t SuperPeerNetwork::replica_count(workload::FileId file) const {
   std::size_t count = 0;
-  for (const auto& store : leaf_stores_) count += store.has(file) ? 1 : 0;
+  for (const auto& store : leaf_stores_) count += store.has(file) ? 1u : 0u;
   return count;
 }
 

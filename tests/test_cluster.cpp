@@ -90,7 +90,8 @@ bool has_consequent(const std::string& rules_text, std::uint64_t id) {
   std::istringstream in(rules_text);
   std::string line;
   std::getline(in, line);  // header
-  const std::string needle = "," + std::to_string(id) + ",";
+  std::string needle = ",";
+  needle.append(std::to_string(id)).append(",");
   while (std::getline(in, line)) {
     if (line.find(needle) != std::string::npos) return true;
   }

@@ -134,7 +134,7 @@ std::vector<HitResult> hit_results(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     results[i] = {.file_index = static_cast<std::uint32_t>(i),
                   .file_size = 1,
-                  .file_name = "f" + std::to_string(i)};
+                  .file_name = std::string("f").append(std::to_string(i))};
   }
   return results;
 }

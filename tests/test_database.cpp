@@ -48,8 +48,12 @@ TEST(Database, JoinMatchesOnGuid) {
   ASSERT_EQ(db.pairs().size(), 3u);
   // Every pair inherits the query's source host.
   for (const auto& pair : db.pairs()) {
-    if (pair.guid == 100) EXPECT_EQ(pair.source_host, 7u);
-    if (pair.guid == 200) EXPECT_EQ(pair.source_host, 8u);
+    if (pair.guid == 100) {
+      EXPECT_EQ(pair.source_host, 7u);
+    }
+    if (pair.guid == 200) {
+      EXPECT_EQ(pair.source_host, 8u);
+    }
   }
 }
 

@@ -93,9 +93,9 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, FaultMatrix,
     ::testing::Values(Cell{0.0, 0}, Cell{0.0, 10}, Cell{0.05, 0},
                       Cell{0.05, 10}, Cell{0.2, 0}, Cell{0.2, 10}),
-    [](const ::testing::TestParamInfo<Cell>& info) {
-      return "drop" + std::to_string(drop_pct(info.param)) + "_crash" +
-             std::to_string(crash_pct(info.param));
+    [](const ::testing::TestParamInfo<Cell>& cell) {
+      return "drop" + std::to_string(drop_pct(cell.param)) + "_crash" +
+             std::to_string(crash_pct(cell.param));
     });
 
 TEST(FaultMatrixShape, DegradationMonotonicAlongDropAxis) {

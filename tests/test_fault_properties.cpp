@@ -80,9 +80,13 @@ TEST(FaultProperties, RetryBudgetAndBackoffInvariants) {
     // The virtual clock respects the timeout budget...
     EXPECT_LE(out.elapsed_stamps, options.timeout_stamps);
     // ...and timing out precludes reporting a hit.
-    if (out.timed_out) EXPECT_FALSE(out.hit);
+    if (out.timed_out) {
+      EXPECT_FALSE(out.hit);
+    }
     // The final forced flood is always accounted as a fallback.
-    if (out.degraded_to_flood) EXPECT_TRUE(out.used_fallback);
+    if (out.degraded_to_flood) {
+      EXPECT_TRUE(out.used_fallback);
+    }
 
     retried += out.retries_used > 0 ? 1 : 0;
     timed_out += out.timed_out ? 1 : 0;

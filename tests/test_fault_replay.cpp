@@ -123,8 +123,8 @@ TEST_P(GoldenReplay, MatchesPinnedDigests) {
 INSTANTIATE_TEST_SUITE_P(Goldens, GoldenReplay,
                          ::testing::Values("golden_small.v1",
                                            "golden_churnstorm.v1"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& golden) {
+                           std::string name = golden.param;
                            name = name.substr(0, name.find('.'));
                            return name;
                          });

@@ -56,7 +56,7 @@ TEST(TraceGenerator, ReplyRateMatchesConfig) {
   std::uint64_t answered = 0;
   constexpr int kQueries = 40'000;
   for (int i = 0; i < kQueries; ++i) {
-    answered += gen.next().answered() ? 1 : 0;
+    answered += gen.next().answered() ? 1u : 0u;
   }
   EXPECT_NEAR(static_cast<double>(answered) / kQueries, 0.25, 0.01);
 }
@@ -123,11 +123,11 @@ TEST(TraceGenerator, HostChurnIntroducesNewHosts) {
   auto pairs = gen.generate_pairs(1'000);
   for (const auto& p : pairs) early_hosts.insert(p.source_host);
   // Skip far ahead (~30 blocks), beyond the transient lifetime.
-  gen.generate_pairs(30'000);
+  (void)gen.generate_pairs(30'000);
   pairs = gen.generate_pairs(1'000);
   for (const auto& p : pairs) late_hosts.insert(p.source_host);
   std::size_t overlap = 0;
-  for (HostId h : late_hosts) overlap += early_hosts.contains(h) ? 1 : 0;
+  for (HostId h : late_hosts) overlap += early_hosts.contains(h) ? 1u : 0u;
   // Some core hosts persist, but most of the population has turned over.
   EXPECT_GT(overlap, 0u);
   EXPECT_LT(overlap, late_hosts.size());
@@ -182,7 +182,7 @@ TEST(TraceGenerator, PaperReplyRatioHoldsAtDefaults) {
   TraceConfig config;  // defaults
   config.block_size = 2'000;
   TraceGenerator gen(config);
-  gen.generate_pairs(20'000);
+  (void)gen.generate_pairs(20'000);
   const double ratio = static_cast<double>(gen.queries_generated()) /
                        static_cast<double>(gen.replies_generated());
   EXPECT_NEAR(ratio, 10'514'090.0 / 3'254'274.0, 0.15);

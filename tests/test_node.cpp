@@ -332,8 +332,8 @@ void await_accepted(const Daemon& daemon, std::size_t peers) {
 /// --lockstep 1`.  Serializing the processing order makes stats and mined
 /// rule bytes comparable across shard counts.
 struct LockstepDriver {
-  explicit LockstepDriver(Daemon& daemon, std::size_t connections)
-      : daemon(daemon) {
+  explicit LockstepDriver(Daemon& node, std::size_t connections)
+      : daemon(node) {
     for (std::size_t i = 0; i < connections; ++i) {
       conns.push_back(connect_tcp("127.0.0.1", daemon.port()));
     }

@@ -68,6 +68,9 @@ void FaultSchedule::add(const FaultEvent& event) {
 FaultInjector::FaultInjector(FaultPlan plan, FaultSchedule schedule,
                              std::uint64_t fault_seed, std::size_t nodes)
     : plan_(std::move(plan)),
+      plain_plan_(plan_.links.empty() && plan_.duplicate == 0.0 &&
+                  plan_.max_delay == 0),
+      forward_dropped_(&FaultMetrics::get().forward_dropped),
       events_(schedule.events()),
       states_(nodes, PeerState::healthy),
       rng_([fault_seed] {
@@ -134,7 +137,7 @@ double FaultInjector::link_drop(NodeId from, NodeId to) const {
   return plan_.drop;
 }
 
-ForwardVerdict FaultInjector::on_forward(NodeId from, NodeId to) {
+ForwardVerdict FaultInjector::forward_verdict(NodeId from, NodeId to) {
   ForwardVerdict verdict;
   if (severed(from, to)) {
     verdict.dropped = true;

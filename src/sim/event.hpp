@@ -82,11 +82,21 @@ class Calendar {
 /// Per-shard event queue keyed on virtual time.
 using ShardQueue = Calendar<QueryEvent>;
 
-/// Per-slot push-order log: the shard index of every event pushed into the
-/// slot, in push order, or a marker for a message settled without a queue
-/// (Engine::kSettled, Engine::kSettledHit).  Walking it with one cursor per
+/// One entry of a slot's push-order log: a message that still has work to
+/// apply.  `shard` names the shard that queued it, or kSettledHit for a
+/// final hop settled when sent that answers at its place in the log.  A
+/// settled message with nothing left to apply (a duplicate, or a settled
+/// final hop that found no target) gets no entry: the slot only counts it,
+/// and `settled_before` is that count as this entry was pushed.
+struct OrderEntry {
+  static constexpr std::uint32_t kSettledHit = 0xffffffffu;
+  std::uint32_t shard = 0;
+  std::uint32_t settled_before = 0;
+};
+
+/// Per-slot push-order log, in push order.  Walking it with one cursor per
 /// shard replays the slot's events in canonical order.
-using SlotOrder = Calendar<std::uint32_t>;
+using SlotOrder = Calendar<OrderEntry>;
 
 /// Macro-level typed event on the search clock.
 enum class SimEventKind : std::uint8_t {

@@ -43,8 +43,7 @@ void Strategy::regenerate(Block block) {
   // antecedents whose counts actually changed.
   if (!counted_) spare_.count(block);
   counted_ = false;
-  mining::ShardCounts* const tables[] = {&spare_};
-  miner_.replace_window(block, tables);
+  miner_.replace_window(block, spare_);
   miner_.snapshot();
   ++rulesets_generated_;
 }

@@ -114,9 +114,8 @@ std::size_t IncrementalRuleMiner::purge_host(HostId host) {
   return touched;
 }
 
-void IncrementalRuleMiner::replace_window(
-    std::span<const QueryReplyPair> block,
-    std::span<ShardCounts* const> shards) {
+void IncrementalRuleMiner::replace_window(std::span<const QueryReplyPair> block,
+                                          ShardCounts& counts) {
   // Serial add(block) + evict_to(block.size()) marks dirty every antecedent
   // of the outgoing window (the current counts_ domain) and every antecedent
   // of the incoming block.  An antecedent present in both is queued twice
@@ -129,26 +128,10 @@ void IncrementalRuleMiner::replace_window(
   window_.clear();
   for (const QueryReplyPair& pair : block) window_.push_back(pair);
 
-  if (shards.size() == 1) {
-    // One table already holds the whole count: take it as is and hand the
-    // retired table back cleared, for the caller to count into next.
-    std::swap(counts_, shards.front()->counts_);
-    shards.front()->clear();
-  } else {
-    // Merge in the given order.  Counts are pure sums, so the merged table
-    // equals a serial count of `block` regardless of shard count or order.
-    counts_.clear();
-    for (ShardCounts* shard : shards) {
-      shard->counts_.for_each([&](HostId antecedent,
-                                  const AntecedentCounts& from) {
-        AntecedentCounts& state = counts_.find_or_insert(antecedent);
-        state.total += from.total;
-        from.consequents.for_each([&](HostId neighbor, std::uint32_t support) {
-          state.consequents.find_or_insert(neighbor) += support;
-        });
-      });
-    }
-  }
+  // The table already holds the whole count: take it as is and hand the
+  // retired table back cleared, for the caller to count into next.
+  std::swap(counts_, counts.counts_);
+  counts.clear();
   counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
     mark_dirty(antecedent, state);
   });

@@ -97,9 +97,8 @@ struct AntecedentCounts {
 /// support, total) state the miner keeps, accumulated on whatever thread
 /// owns the table and installed by IncrementalRuleMiner::replace_window.
 /// core::Strategy counts the next window into one while the current rule
-/// set is evaluated; mining::WindowMerger counts one per daemon shard.
-/// Counting is pure addition, so merged tables equal the serial count of
-/// the whole block under ANY partition of its pairs.
+/// set is evaluated.  Counting is pure addition, so the table equals the
+/// serial count of the block in whatever order its pairs were counted.
 class ShardCounts {
  public:
   /// Count one pair (two FlatCountMap ops, no window bookkeeping).
@@ -145,16 +144,15 @@ class IncrementalRuleMiner {
   std::size_t purge_host(HostId host);
 
   /// Replace the whole window with `block`, whose counts were accumulated
-  /// out-of-band into `shards`.  Equivalent to add(block) followed by
+  /// out-of-band into `counts`.  Equivalent to add(block) followed by
   /// evict_to(block.size()): the post-call counts, dirty set, and eviction
   /// total are identical, so the next snapshot() — and every metric it
   /// syncs — is byte-identical to the serial path.  The caller must ensure
-  /// the shards together count exactly the pairs of `block`.  One table is
-  /// swapped in whole and comes back cleared (holding the retired window's
-  /// allocation); several are merged in the order given and left as they
-  /// are.
+  /// `counts` counts exactly the pairs of `block`.  The table is swapped in
+  /// whole and comes back cleared, holding the retired window's allocation
+  /// for the caller to count the next window into.
   void replace_window(std::span<const QueryReplyPair> block,
-                      std::span<ShardCounts* const> shards);
+                      ShardCounts& counts);
 
   /// Materialize every antecedent whose counts changed since the last
   /// snapshot into the internal rule set and return it.  Equivalent to

@@ -695,10 +695,13 @@ void Shard::close_connection(int fd) {
       !connection.outbound_link || connection.phase == LinkPhase::streaming;
   if (rostered) {
     bump(stats_.disconnects);
+    // Flag the departure before the purge: a merge that fetched the roster
+    // earlier then drops the peer's pending pairs instead of adding them
+    // after the purge.
+    connection.peer->departed.store(true, std::memory_order_release);
     shared_.peers.remove(connection.id);
     // A departed neighbor's pairs would keep routing queries at a dead
-    // socket; purge them from the published snapshot immediately (its
-    // window pairs on every shard are pruned at the next merge).
+    // socket; purge them from the published snapshot immediately.
     shared_.hub->purge(connection.id);
   }
   if (connection.outbound_link) {

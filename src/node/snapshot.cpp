@@ -1,7 +1,6 @@
 #include "node/snapshot.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace aar::node {
 
@@ -55,53 +54,38 @@ void ShardWindow::append(const trace::QueryReplyPair& pair) {
   pairs_.push_back(pair);
 }
 
-void ShardWindow::collect(const std::vector<NeighborId>& live,
-                          std::vector<trace::QueryReplyPair>& out) {
-  const auto alive = [&live](NeighborId id) {
-    return std::binary_search(live.begin(), live.end(), id);
-  };
+void ShardWindow::take(std::vector<trace::QueryReplyPair>& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = pairs_.begin(); it != pairs_.end();) {
-    if (alive(static_cast<NeighborId>(it->source_host)) &&
-        alive(static_cast<NeighborId>(it->replying_neighbor))) {
-      out.push_back(*it);
-      ++it;
-    } else {
-      it = pairs_.erase(it);
-    }
-  }
-}
-
-void ShardWindow::trim_before(double cutoff) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (!pairs_.empty() && pairs_.front().time < cutoff) pairs_.pop_front();
+  out.insert(out.end(), pairs_.begin(), pairs_.end());
+  pairs_.clear();
 }
 
 MiningHub::MiningHub(mining::MinerConfig config, std::size_t rebuild_every,
-                     std::size_t shards)
+                     std::size_t /*shards*/)
     : rebuild_every_(rebuild_every == 0 ? 1 : rebuild_every),
       miner_(config),
-      merger_(shards),
       snapshot_(std::make_shared<const RoutingSnapshot>()) {}
 
 void MiningHub::merge(std::vector<ShardWindow>& windows,
                       const PeerList& live) {
-  std::vector<NeighborId> ids;
-  ids.reserve(live.size());
-  for (const std::shared_ptr<Peer>& peer : live) ids.push_back(peer->id);
-
+  const auto alive = [&live](trace::HostId id) {
+    const std::shared_ptr<Peer>* peer =
+        find_peer(live, static_cast<NeighborId>(id));
+    return peer != nullptr &&
+           !(*peer)->departed.load(std::memory_order_acquire);
+  };
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    auto& input = merger_.input(i);
-    input.clear();
-    windows[i].collect(ids, input);
-  }
-  const std::span<const trace::QueryReplyPair> block =
-      merger_.merge_into(miner_);
-  const double cutoff = block.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : block.front().time;
-  for (ShardWindow& window : windows) window.trim_before(cutoff);
+  batch_.clear();
+  for (ShardWindow& window : windows) window.take(batch_);
+  std::erase_if(batch_, [&](const trace::QueryReplyPair& pair) {
+    return !alive(pair.source_host) || !alive(pair.replying_neighbor);
+  });
+  std::sort(batch_.begin(), batch_.end(),
+            [](const trace::QueryReplyPair& a, const trace::QueryReplyPair& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.guid < b.guid;
+            });
+  miner_.add(batch_);
   since_merge_.store(0, std::memory_order_release);
   publish_locked();
 }

@@ -16,27 +16,29 @@
 //     plus a binary search.  Per-peer `stalled` flags are atomics written
 //     by the owning shard's retry ladder and read by every shard's
 //     rule-target filter.
-//   * MiningHub — the miner behind the aar::par shape.  Shards append
-//     observed pairs to their own ShardWindow; every `rebuild_every` pairs
-//     the crossing shard performs a canonical merge (gather shard windows
-//     in shard-index order, sort by capture time, truncate to the mining
-//     window, IncrementalRuleMiner::replace_window) and publishes the
-//     snapshot rule set as an immutable RoutingSnapshot via pointer swap.
-//     Relay never blocks on mining: queries route against the last
-//     published snapshot.
+//   * MiningHub — one IncrementalRuleMiner over the node's sliding window.
+//     Shards append observed pairs to their own ShardWindow, which holds
+//     only the pairs mined since the last merge; every `rebuild_every`
+//     pairs the crossing shard merges: it takes the pending pairs of every
+//     shard, drops those naming a departed peer, sorts the rest by
+//     (capture time, GUID), add()s them to the miner — whose bounded
+//     window evicts the oldest pairs — and publishes the snapshot rule set
+//     as an immutable RoutingSnapshot via pointer swap.  Relay never blocks
+//     on mining: queries route against the last published snapshot.
 //
 // Determinism: capture time is a global atomic message counter, so every
-// observed pair carries a unique timestamp; the merged block is the
-// time-sorted union of the shard windows, which is invariant under the
-// connection-to-shard partition.  RuleSet serialization is canonical
-// (sorted), so the published rule bytes depend only on the window's pair
-// multiset — the same argument that makes aar::par byte-identical to the
-// serial miner for any shard count.
+// observed pair carries a unique timestamp, and the sorted batch is
+// invariant under the connection-to-shard partition.  Under a lockstep
+// driver every pair is appended before the next frame is read, so each
+// batch is newer than the window it joins and the window is the newest
+// `window` pairs in capture order, less those a disconnect purged, for
+// any shard count.  RuleSet
+// serialization is canonical (sorted), so the published rule bytes depend
+// only on the window's pair multiset.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -46,7 +48,6 @@
 #include "core/ruleset.hpp"
 #include "gnutella/codec.hpp"
 #include "mining/incremental_miner.hpp"
-#include "mining/window_merge.hpp"
 #include "trace/record.hpp"
 
 namespace aar::lsm {
@@ -96,11 +97,14 @@ class QueryTable {
 
 /// One live neighbor connection as every shard sees it.  `stalled` is
 /// written by the owning shard's send ladder and read by rule-target
-/// filters on all shards.
+/// filters on all shards.  `departed` is set when the connection closes,
+/// before its purge: a merge holding a roster fetched earlier still sees
+/// it, so a pair mined for a departed peer never joins the window.
 struct Peer {
   NeighborId id = 0;
   std::uint32_t shard = 0;
   std::atomic<bool> stalled{false};
+  std::atomic<bool> departed{false};
 };
 
 /// Immutable, id-sorted roster published on every accept/disconnect.
@@ -131,24 +135,18 @@ class PeerDirectory {
   std::atomic<std::uint64_t> version_{1};
 };
 
-/// One shard's private window of observed query/reply pairs, appended on
-/// the shard thread and gathered under the merge lock.  Pairs naming
-/// departed peers are pruned lazily at gather time; after each merge the
-/// window is trimmed to the merged block's oldest timestamp so per-shard
-/// storage stays bounded by window + rebuild_every.
+/// One shard's pairs mined since the last merge, appended on the shard
+/// thread and taken under the merge lock.  The window itself lives only
+/// in the hub's miner.
 class ShardWindow {
  public:
   void append(const trace::QueryReplyPair& pair);
-  /// Copy live pairs (both endpoints in the id-sorted `live` roster) into
-  /// `out`, erasing dead pairs in place.
-  void collect(const std::vector<NeighborId>& live,
-               std::vector<trace::QueryReplyPair>& out);
-  /// Drop pairs with time < cutoff (already merged out of the window).
-  void trim_before(double cutoff);
+  /// Move the pending pairs to the end of `out`, leaving none behind.
+  void take(std::vector<trace::QueryReplyPair>& out);
 
  private:
   std::mutex mu_;
-  std::deque<trace::QueryReplyPair> pairs_;
+  std::vector<trace::QueryReplyPair> pairs_;
 };
 
 /// The published routing state: the rule set shards forward against.
@@ -161,6 +159,7 @@ struct RoutingSnapshot {
 /// readers take the current snapshot through an atomic version + pointer.
 class MiningHub {
  public:
+  /// `shards` is unused: the merge takes however many windows it is given.
   MiningHub(mining::MinerConfig config, std::size_t rebuild_every,
             std::size_t shards);
 
@@ -171,13 +170,15 @@ class MiningHub {
            rebuild_every_;
   }
 
-  /// Canonical merge: gather every shard window (shard-index order), prune
-  /// dead peers, sort by capture time, truncate to the mining window,
-  /// replace_window + snapshot, publish.
+  /// Canonical merge: take every shard's pending pairs, drop those naming a
+  /// peer that is missing from `live` or flagged departed, sort by
+  /// (capture time, GUID), add them to the miner (evicting its oldest
+  /// pairs), snapshot, publish.
   void merge(std::vector<ShardWindow>& windows, const PeerList& live);
 
   /// Disconnect purge: drop `host`'s pairs from the miner and republish —
-  /// the next published snapshot never routes at the dead peer.  Eviction
+  /// the next published snapshot never routes at the dead peer, and no
+  /// later merge brings its pairs back (Peer::departed).  Eviction
   /// accounting is untouched (purge_host), so concurrent disconnect order
   /// cannot skew mining.evictions.
   void purge(NeighborId host);
@@ -212,7 +213,7 @@ class MiningHub {
 
   mutable std::mutex mu_;
   mining::IncrementalRuleMiner miner_;
-  mining::WindowMerger merger_;
+  std::vector<trace::QueryReplyPair> batch_;  // merge scratch
   std::shared_ptr<const RoutingSnapshot> snapshot_;
 };
 

@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "mining/window_merge.hpp"
-
 #include "core/strategy.hpp"
 #include "obs/registry.hpp"
 #include "overlay/assoc_policy.hpp"
@@ -388,11 +386,10 @@ TEST(IncrementalRuleMiner, OneTableReplaceWindowEqualsAddThenEvict) {
   IncrementalRuleMiner replaced({.window = 0, .min_support = 3});
   IncrementalRuleMiner serial({.window = 0, .min_support = 3});
   ShardCounts table;
-  ShardCounts* const tables[] = {&table};
   for (const std::size_t size : {1'500u, 400u, 2'500u, 2'500u, 0u, 900u}) {
     const std::vector<QueryReplyPair> block = random_block(rng, size);
     table.count(block);
-    replaced.replace_window(block, tables);
+    replaced.replace_window(block, table);
     EXPECT_EQ(table.distinct_antecedents(), 0u);  // handed back cleared
     serial.add(block);
     serial.evict_to(block.size());
@@ -409,117 +406,6 @@ TEST(IncrementalRuleMiner, OneTableReplaceWindowEqualsAddThenEvict) {
     EXPECT_EQ(got.gauge, want.gauge) << context;
 #endif
   }
-}
-
-// --- WindowMerger: canonical shard-window merge (node daemon) ------------
-
-/// A deterministic pair stream with globally unique times, the shape the
-/// sharded daemon feeds the merger (time = global message counter).
-std::vector<QueryReplyPair> timed_pairs(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<QueryReplyPair> pairs;
-  pairs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pairs.push_back(QueryReplyPair{
-        .time = static_cast<double>(i + 1),
-        .guid = seed * 1'000'003 + i,
-        .source_host = static_cast<HostId>(rng.below(12)),
-        .replying_neighbor = static_cast<HostId>(rng.below(6)),
-    });
-  }
-  return pairs;
-}
-
-TEST(WindowMerger, MergeEqualsSerialAddForAnyShardCount) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(300, 11);
-  const MinerConfig config{.window = 1024, .min_support = 2};
-
-  IncrementalRuleMiner serial(config);
-  for (const QueryReplyPair& pair : pairs) serial.add(pair);
-  const std::string expected = saved(serial.snapshot());
-
-  for (const std::size_t shards : {1u, 2u, 5u}) {
-    WindowMerger merger(shards);
-    // Scatter round-robin: each shard holds its pairs in time order, like a
-    // daemon shard's private window.
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      merger.input(i % shards).push_back(pairs[i]);
-    }
-    IncrementalRuleMiner merged(config);
-    const auto block = merger.merge_into(merged);
-    ASSERT_EQ(block.size(), pairs.size());
-    EXPECT_TRUE(std::is_sorted(
-        block.begin(), block.end(),
-        [](const auto& a, const auto& b) { return a.time < b.time; }));
-    EXPECT_EQ(saved(merged.snapshot()), expected) << "shards=" << shards;
-    EXPECT_EQ(merged.window_size(), serial.window_size());
-  }
-}
-
-TEST(WindowMerger, MergedRulesAreInvariantUnderThePartition) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(240, 23);
-  const MinerConfig config{.window = 1024, .min_support = 2};
-
-  std::string reference;
-  // Three partitions of the same multiset: round-robin, contiguous chunks,
-  // and everything-on-one-shard.
-  for (int mode = 0; mode < 3; ++mode) {
-    WindowMerger merger(3);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const std::size_t shard = mode == 0   ? i % 3
-                                : mode == 1 ? i / ((pairs.size() / 3) + 1)
-                                            : 0;
-      merger.input(shard).push_back(pairs[i]);
-    }
-    IncrementalRuleMiner miner(config);
-    (void)merger.merge_into(miner);
-    const std::string bytes = saved(miner.snapshot());
-    if (mode == 0) {
-      reference = bytes;
-      EXPECT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(bytes, reference) << "partition mode " << mode;
-    }
-  }
-}
-
-TEST(WindowMerger, TruncationKeepsTheNewestPairsLikeASlidingWindow) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(300, 31);
-  const MinerConfig config{.window = 100, .min_support = 2};
-
-  // Serial reference: a bounded miner that saw every pair in time order and
-  // slid its window as it went.
-  IncrementalRuleMiner serial(config);
-  for (const QueryReplyPair& pair : pairs) serial.add(pair);
-  ASSERT_EQ(serial.window_size(), config.window);
-
-  WindowMerger merger(2);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    merger.input(i % 2).push_back(pairs[i]);
-  }
-  IncrementalRuleMiner merged(config);
-  const auto block = merger.merge_into(merged);
-  ASSERT_EQ(block.size(), config.window);
-  // The truncated block is exactly the newest `window` pairs.
-  EXPECT_EQ(block.front().time, pairs[pairs.size() - config.window].time);
-  EXPECT_EQ(block.back().time, pairs.back().time);
-  EXPECT_EQ(saved(merged.snapshot()), saved(serial.snapshot()));
-}
-
-TEST(WindowMerger, InputsSurviveTheMergeAndEmptyMergeClears) {
-  WindowMerger merger(2);
-  merger.input(0).push_back(pair_of(1, 2, 5));
-  merger.input(0).back().time = 1.0;
-  IncrementalRuleMiner miner({.window = 8, .min_support = 1});
-  (void)merger.merge_into(miner);
-  EXPECT_EQ(miner.window_size(), 1u);
-  // Inputs are the shards' windows — the merger must not consume them.
-  EXPECT_EQ(merger.input(0).size(), 1u);
-
-  merger.input(0).clear();
-  (void)merger.merge_into(miner);
-  EXPECT_EQ(miner.window_size(), 0u);
-  EXPECT_TRUE(miner.snapshot().empty());
 }
 
 }  // namespace

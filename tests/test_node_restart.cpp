@@ -9,6 +9,9 @@
 //     The wire connections stay OPEN across the shutdown: a disconnect
 //     purges the departing peer's pairs by design, which would (correctly)
 //     empty the checkpoint.
+//   * Window across rebuilds — the restored window is the base the next
+//     rebuilds add to: after a restart and two rebuilds the rules and the
+//     next checkpoint hold the restored pairs plus the new ones.
 //   * Archive — every mined pair is folded into the lsm store under
 //     <state-dir>/archive; after shutdown the store is opened directly and
 //     must hold exactly the per-(source, neighbor) pair counts the
@@ -27,16 +30,20 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/ruleset.hpp"
 #include "gnutella/codec.hpp"
 #include "lsm/store.hpp"
 #include "node/daemon.hpp"
 #include "node/net.hpp"
+#include "store/reader.hpp"
 #include "test_tmp.hpp"
+#include "trace/record.hpp"
 
 namespace aar::node {
 namespace {
@@ -202,6 +209,42 @@ TEST(NodeRestart, WarmRestartRepublishesIdenticalRuleBytes) {
     total += count;
   }
   EXPECT_EQ(static_cast<std::uint64_t>(total), pairs_mined);
+}
+
+TEST(NodeRestart, WarmRestartKeepsItsWindowAcrossTheNextRebuild) {
+  ScopedTempDir tmp("aar_node_rebuild");
+  const std::string state_dir = tmp.path("state");
+  const auto checkpointed = [&] {
+    return store::Reader(state_dir + "/window.aartr").read_all_pairs();
+  };
+
+  {
+    RestartHarness harness(state_config(state_dir));
+    harness.connect(4);
+    drive_workload(harness, 96, 8, 4);  // six whole rebuilds
+    harness.shutdown();  // connections still open: the checkpoint keeps all
+  }
+  const std::vector<trace::QueryReplyPair> restored = checkpointed();
+  ASSERT_EQ(restored.size(), 96u);
+
+  std::string rules;
+  {
+    RestartHarness harness(state_config(state_dir));
+    ASSERT_EQ(harness.daemon->stats().restored_pairs, restored.size());
+    harness.connect(2);
+    drive_workload(harness, 32, 4, 2);  // two rebuilds (rebuild_every 16)
+    rules = harness.daemon->rules_text();
+    harness.shutdown();
+  }
+  const std::vector<trace::QueryReplyPair> window = checkpointed();
+  ASSERT_EQ(window.size(), restored.size() + 32)
+      << "a rebuild threw the restored window away";
+  EXPECT_TRUE(std::equal(restored.begin(), restored.end(), window.begin()));
+  EXPECT_LT(restored.back().time, window[restored.size()].time);
+
+  std::ostringstream expected;
+  core::RuleSet::build(window, 2).save(expected);
+  EXPECT_EQ(rules, expected.str());
 }
 
 TEST(NodeRestart, ColdRestartStartsEmptyAndRelearns) {

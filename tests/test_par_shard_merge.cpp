@@ -1,7 +1,8 @@
 // Property and stress tests for the aar::par building blocks: ShardCounts +
-// IncrementalRuleMiner::replace_window (one table swapped in, several
-// merged in the order given), a strategy counting on a lent worker while
-// it evaluates, and a decode error surfacing through run_parallel.  The
+// IncrementalRuleMiner::replace_window (one table, counted bucket by
+// bucket of any partition, swapped in whole), a strategy counting on a
+// lent worker while it evaluates, and a decode error surfacing through
+// run_parallel.  The
 // differential end-to-end suite lives in test_par_differential.cpp; here
 // each piece is checked against its serial ground truth in isolation (the
 // "Par" suites run in the TSan CI job).
@@ -75,16 +76,11 @@ std::vector<std::vector<QueryReplyPair>> partition(
 TEST(ParShardMerge, MergedCountsMatchSerialMinerForAnyPartition) {
   const auto stream = random_stream(17, 3'000);
   for (const std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
-    auto buckets = partition(stream, shards);
-    std::vector<mining::ShardCounts> counts(shards);
-    std::vector<mining::ShardCounts*> handles;
-    for (std::size_t s = 0; s < shards; ++s) {
-      counts[s].count(buckets[s]);
-      handles.push_back(&counts[s]);
-    }
+    mining::ShardCounts counts;
+    for (const auto& bucket : partition(stream, shards)) counts.count(bucket);
 
     mining::IncrementalRuleMiner merged({.window = 0, .min_support = 3});
-    merged.replace_window(stream, handles);
+    merged.replace_window(stream, counts);
 
     mining::IncrementalRuleMiner serial({.window = 0, .min_support = 3});
     serial.add(stream);
@@ -109,15 +105,9 @@ TEST(ParShardMerge, ReplaceWindowRetiresPreviousWindowExactly) {
   serial.evict_to(first.size());
   ASSERT_EQ(merged.snapshot(), serial.snapshot());
 
-  const std::size_t shards = 7;
-  auto buckets = partition(second, shards);
-  std::vector<mining::ShardCounts> counts(shards);
-  std::vector<mining::ShardCounts*> handles;
-  for (std::size_t s = 0; s < shards; ++s) {
-    counts[s].count(buckets[s]);
-    handles.push_back(&counts[s]);
-  }
-  merged.replace_window(second, handles);
+  mining::ShardCounts counts;
+  for (const auto& bucket : partition(second, 7)) counts.count(bucket);
+  merged.replace_window(second, counts);
   serial.add(second);
   serial.evict_to(second.size());
 

@@ -10,8 +10,10 @@
 //     rows, a file -> holders index, stamp-versioned queued/holder/parent
 //     arrays — instead of one Peer object (hash-set store, heap policy) per
 //     node;
-//   * peers are partitioned into shards (shard(node) = node % shards);
-//     each shard owns a calendar event queue keyed on virtual time;
+//   * peers are partitioned into shards by blocks of kBlockPeers
+//     consecutive ids, dealt round-robin, so no cache line of the per-peer
+//     arrays holds two shards' peers; each shard owns a calendar event
+//     queue keyed on virtual time;
 //   * one virtual-time round = a PARALLEL phase (each shard scans its slot
 //     and computes the pure per-peer work: duplicate suppression, the hit
 //     check against the pass's holder marks, policy routing into per-shard
@@ -47,6 +49,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -62,6 +65,26 @@
 #include "workload/interests.hpp"
 
 namespace aar::sim {
+
+/// A std::vector allocator whose storage starts on a 64-byte cache line, so
+/// a block of consecutive elements can own whole lines.
+template <typename T>
+struct LineAligned {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  LineAligned() = default;
+  template <typename U>
+  LineAligned(const LineAligned<U>& /*other*/) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  friend bool operator==(const LineAligned&, const LineAligned&) {
+    return true;
+  }
+};
 
 /// Mix a salt into a seed (split-seed discipline, as in aar::fault): child
 /// streams never perturb, and are never perturbed by, the parent stream.
@@ -199,8 +222,12 @@ class Engine {
     std::vector<NodeId> emissions;
   };
 
+  /// Peers per partition block: one cache line of a u32 per-peer array,
+  /// two of `queued_`.  Blocks are dealt round-robin, so the low-id hubs of
+  /// a Barabási–Albert overlay spread over every shard.
+  static constexpr std::uint32_t kBlockPeers = 16;
   [[nodiscard]] std::uint32_t shard_of(NodeId node) const noexcept {
-    return node % static_cast<std::uint32_t>(shards_);
+    return (node / kBlockPeers) % static_cast<std::uint32_t>(shards_);
   }
 
   void check_node(NodeId node) const;
@@ -297,12 +324,14 @@ class Engine {
   std::unique_ptr<fault::FaultInjector> faults_;
 
   // Stamp-versioned per-query scratch (never cleared between searches).
+  // Each starts on a cache line, so every partition block owns its lines.
   /// stamp << 32 | arrival slot of the peer's earliest queued message this
   /// pass (slots stay far below 2^32: the calendar holds one vector each).
   /// In a revisiting pass it is the seen stamp: set at the first visit.
-  std::vector<std::uint64_t> queued_;
-  std::vector<std::uint32_t> holder_stamp_;  ///< == stamp_: holds the target
-  std::vector<NodeId> parent_;
+  std::vector<std::uint64_t, LineAligned<std::uint64_t>> queued_;
+  /// == stamp_: holds the target
+  std::vector<std::uint32_t, LineAligned<std::uint32_t>> holder_stamp_;
+  std::vector<NodeId, LineAligned<NodeId>> parent_;
   std::uint32_t stamp_ = 0;
   trace::Guid next_guid_ = 1;
   std::uint64_t search_clock_ = 0;

@@ -217,7 +217,31 @@ std::span<const NodeId> Engine::holders(workload::FileId file) const {
 bool Engine::add_link(NodeId a, NodeId b) {
   check_node(a);
   check_node(b);
-  return graph_.add_edge(a, b);
+  const bool added = graph_.add_edge(a, b);
+  adj_stale_ = adj_stale_ || added;
+  return added;
+}
+
+void Engine::refresh_adjacency() {
+  if (!adj_stale_) return;
+  const std::size_t n = graph_.num_nodes();
+  adj_offsets_.resize(n + 1);
+  adj_ids_.resize(2 * graph_.num_edges());
+  std::uint32_t at = 0;
+  for (NodeId node = 0; node < n; ++node) {
+    adj_offsets_[node] = at;
+    const std::span<const NodeId> row = graph_.neighbors(node);
+    std::copy(row.begin(), row.end(), adj_ids_.begin() + at);
+    at += static_cast<std::uint32_t>(row.size());
+  }
+  adj_offsets_[n] = at;
+  adj_stale_ = false;
+}
+
+std::span<const NodeId> Engine::routing_neighbors(NodeId node) {
+  check_node(node);
+  refresh_adjacency();
+  return neighbors(node);
 }
 
 overlay::RoutingPolicy& Engine::policy(NodeId node) {
@@ -259,6 +283,7 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
   std::vector<NodeId> orphaned(graph_.neighbors(node).begin(),
                                graph_.neighbors(node).end());
   graph_.detach(node);
+  adj_stale_ = true;
   std::size_t linked = 0;
   std::size_t attempts = 0;
   while (linked < attach && attempts++ < 16 * attach) {
@@ -402,7 +427,7 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
     r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
     bool directed = false;
     if (force_flood) {
-      for (NodeId neighbor : graph_.neighbors(ev.node)) {
+      for (NodeId neighbor : neighbors(ev.node)) {
         if (neighbor != ev.from) shard.emissions.push_back(neighbor);
       }
     } else {
@@ -411,7 +436,7 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
       // association routing draws) deterministic and per-peer.
       util::Rng scratch(split_seed(query.guid, ev.node));
       directed = policies_[ev.node]->route(query, ev.node, ev.from,
-                                           graph_.neighbors(ev.node), scratch,
+                                           neighbors(ev.node), scratch,
                                            shard.emissions);
     }
     if (directed) r.flags |= EventResult::kDirected;
@@ -515,7 +540,7 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     if (st.pass.hit && revisits) continue;
     targets.clear();
     const bool directed = policies_[ev.node]->route(
-        query, ev.node, ev.from, graph_.neighbors(ev.node), rng_, targets);
+        query, ev.node, ev.from, neighbors(ev.node), rng_, targets);
     std::erase(targets, ev.node);
     forward(now, origin, ev, targets, directed, st);
   }
@@ -643,6 +668,7 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
                                      std::uint32_t ttl, bool force_flood,
                                      std::uint64_t budget) {
   next_stamp();
+  refresh_adjacency();
   PassState st;
   st.budget = budget;
   // Chosen once per pass: a forced flood never revisits.

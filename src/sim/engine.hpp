@@ -173,6 +173,9 @@ class Engine {
   /// The peers whose store holds `file`, in no particular order.
   [[nodiscard]] std::span<const NodeId> holders(workload::FileId file) const;
   [[nodiscard]] const overlay::Graph& graph() const noexcept { return graph_; }
+  /// `node`'s row of the flat adjacency that routing reads, rebuilt first
+  /// when churn or add_link changed the graph since the last rebuild.
+  [[nodiscard]] std::span<const NodeId> routing_neighbors(NodeId node);
   [[nodiscard]] const workload::ContentCatalogue& catalogue() const noexcept {
     return catalogue_;
   }
@@ -244,6 +247,13 @@ class Engine {
             store_len_[node]};
   }
 
+  /// Rebuild the flat adjacency when the graph changed since the last one.
+  void refresh_adjacency();
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId node) const {
+    return {adj_ids_.data() + adj_offsets_[node],
+            adj_offsets_[node + 1] - adj_offsets_[node]};
+  }
+
   PassOutcome run_pass(const overlay::Query& query, NodeId origin,
                        std::uint32_t ttl, bool force_flood,
                        std::uint64_t budget);
@@ -304,6 +314,11 @@ class Engine {
 
   EngineConfig config_;
   overlay::Graph graph_;
+  /// Flat (CSR) snapshot of graph_ for routing: peer v's neighbours are
+  /// adj_ids_[adj_offsets_[v], adj_offsets_[v + 1]), in graph_'s order.
+  std::vector<std::uint32_t> adj_offsets_;
+  std::vector<NodeId> adj_ids_;
+  bool adj_stale_ = true;  ///< graph_ changed since the snapshot
   util::Rng rng_;        ///< workload stream; routes revisiting passes
   util::Rng build_rng_;  ///< kSharded catalogue stream (unused in kLegacy)
   workload::ContentCatalogue catalogue_;

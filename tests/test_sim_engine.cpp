@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -120,6 +122,51 @@ TEST(SimEngine, ChurnRebuildsStoresThroughOverlay) {
   const auto outcome = engine.search(victim, engine.sample_target(victim),
                                      options);
   EXPECT_GT(outcome.nodes_reached, 0u);
+}
+
+TEST(SimEngine, RoutingAdjacencyFollowsEveryGraphChange) {
+  // Routing reads a flat snapshot of the graph.  After each kind of change
+  // — one replacement, a churn epoch, an added link — and a search between
+  // them, every peer's routing row must equal Graph::neighbors: a change
+  // that skipped the rebuild would route over links that no longer exist.
+  EngineConfig config;
+  config.build = EngineConfig::Build::kSharded;
+  config.engine_metrics = false;
+  Engine engine(config, small_graph(23, 200), flooding_factory());
+  overlay::SearchOptions options;
+  options.ttl = 3;
+  const auto rows_match = [&engine] {
+    for (overlay::NodeId node = 0; node < engine.num_nodes(); ++node) {
+      const std::span<const overlay::NodeId> flat =
+          engine.routing_neighbors(node);
+      const std::span<const overlay::NodeId> live =
+          engine.graph().neighbors(node);
+      if (!std::equal(flat.begin(), flat.end(), live.begin(), live.end())) {
+        ADD_FAILURE() << "peer " << node << "'s routing row is stale";
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto search_once = [&engine, &options] {
+    (void)engine.search(5, engine.sample_target(5), options);
+  };
+  search_once();
+  ASSERT_TRUE(rows_match());
+  engine.replace_peer(3, 3);
+  EXPECT_TRUE(rows_match());
+  search_once();
+  engine.churn(6, 3);
+  EXPECT_TRUE(rows_match());
+  search_once();
+  overlay::NodeId a = 0;
+  overlay::NodeId b = 1;
+  while (engine.graph().has_edge(a, b)) ++b;
+  ASSERT_TRUE(engine.add_link(a, b));
+  EXPECT_TRUE(rows_match());
+  search_once();
+  EXPECT_FALSE(engine.add_link(a, b));  // no change, nothing to rebuild
+  EXPECT_TRUE(rows_match());
 }
 
 TEST(SimEngine, HolderIndexMatchesStoresAfterChurn) {

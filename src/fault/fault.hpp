@@ -148,7 +148,13 @@ class FaultInjector {
   /// neither end crashed or slow — is decided here with the one drop draw
   /// the full rules would make; every other hop takes the full rules.
   [[nodiscard]] ForwardVerdict on_forward(NodeId from, NodeId to) {
-    if (!plain_plan_ || partitioned_ || !plain_peer(from) || !plain_peer(to)) {
+    return on_forward(from, to, plain_peer(from) && plain_peer(to));
+  }
+  /// on_forward with `ends_plain` == plain_peer(from) && plain_peer(to)
+  /// already known.
+  [[nodiscard]] ForwardVerdict on_forward(NodeId from, NodeId to,
+                                          bool ends_plain) {
+    if (!plain_plan_ || partitioned_ || !ends_plain) {
       return forward_verdict(from, to);
     }
     ForwardVerdict verdict;
@@ -188,6 +194,12 @@ class FaultInjector {
   /// A churned-out peer is replaced by a fresh (healthy) one.
   void on_peer_replaced(NodeId node);
 
+  /// Neither crashed nor slow: the peer adds no rule to a forward's verdict.
+  [[nodiscard]] bool plain_peer(NodeId node) const {
+    const PeerState s = state(node);
+    return s == PeerState::healthy || s == PeerState::free_riding;
+  }
+
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
   [[nodiscard]] std::uint64_t events_applied() const noexcept {
@@ -196,11 +208,6 @@ class FaultInjector {
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
  private:
-  /// Neither crashed nor slow: the peer adds no rule to a forward's verdict.
-  [[nodiscard]] bool plain_peer(NodeId node) const {
-    const PeerState s = state(node);
-    return s == PeerState::healthy || s == PeerState::free_riding;
-  }
   /// on_forward's full rules: partitions, crashes, link overrides,
   /// duplicates, delay and slow peers.
   [[nodiscard]] ForwardVerdict forward_verdict(NodeId from, NodeId to);

@@ -403,6 +403,8 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
   // cross-peer mutation — all of that happens in the serial apply phase.
   shard.results.clear();
   shard.emissions.clear();
+  shard.facts.clear();
+  const fault::FaultInjector* const faults = faults_.get();
   const std::uint64_t first_mark = queue_mark(now);
   for (const QueryEvent& ev : shard.queue.at(now)) {
     EventResult r;
@@ -446,6 +448,21 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
         shard.emissions.end());
     r.emit_count =
         static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
+    shard.facts.resize(shard.emissions.size());
+    if (ev.ttl == 1) {
+      // The facts settle_final_hops needs, read here on the route phase's
+      // thread: the pass's holder marks and the fault states are fixed for
+      // the whole pass.
+      for (std::uint32_t i = r.emit_offset; i < shard.emissions.size(); ++i) {
+        const NodeId target = shard.emissions[i];
+        std::uint8_t fact = 0;
+        if (serves(target)) fact |= HopFact::kServes;
+        if (faults == nullptr || faults->plain_peer(target)) {
+          fact |= HopFact::kPlainPeer;
+        }
+        shard.facts[i] = fact;
+      }
+    }
     shard.results.push_back(r);
   }
 }
@@ -508,6 +525,8 @@ void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
     forward(now, origin, ev,
             std::span<const NodeId>(shard.emissions.data() + r.emit_offset,
                                     r.emit_count),
+            std::span<const std::uint8_t>(shard.facts.data() + r.emit_offset,
+                                          r.emit_count),
             (r.flags & EventResult::kDirected) != 0, st);
   }
   st.frontier_size -= settled_[now] - settled;
@@ -542,7 +561,7 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     const bool directed = policies_[ev.node]->route(
         query, ev.node, ev.from, neighbors(ev.node), rng_, targets);
     std::erase(targets, ev.node);
-    forward(now, origin, ev, targets, directed, st);
+    forward(now, origin, ev, targets, {}, directed, st);
   }
 }
 
@@ -564,12 +583,13 @@ void Engine::answer(const overlay::Query& query, NodeId origin,
 }
 
 void Engine::forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
-                     std::span<const NodeId> targets, bool directed,
+                     std::span<const NodeId> targets,
+                     std::span<const std::uint8_t> facts, bool directed,
                      PassState& st) {
   if (ev.node == origin && ev.depth == 0) st.origin_decision = directed;
   st.any_directed = st.any_directed || directed;
   if (ev.ttl == 1 && !revisit_pass_) {
-    settle_final_hops(now, ev, targets, st);
+    settle_final_hops(now, ev, targets, facts, st);
   } else {
     for (const NodeId target : targets) {
       ++st.pass.query_messages;
@@ -590,6 +610,7 @@ void Engine::forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
 
 void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
                                std::span<const NodeId> targets,
+                               std::span<const std::uint8_t> facts,
                                PassState& st) {
   // Each hop is due next round, and no later push can arrive sooner: the
   // recipient's earliest queued message is its first visit, and it has
@@ -606,11 +627,15 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
   std::uint32_t reached = 0;
   std::uint64_t sent = 0;
   std::uint32_t settled = late ? 0 : settled_[next];
-  for (const NodeId target : targets) {
+  const bool sender_plain = faults == nullptr || faults->plain_peer(ev.node);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const NodeId target = targets[i];
+    const std::uint8_t fact = facts[i];
     ++queries;
     fault::ForwardVerdict verdict;
     if (faults != nullptr) {
-      verdict = faults->on_forward(ev.node, target);
+      verdict = faults->on_forward(
+          ev.node, target, sender_plain && (fact & HopFact::kPlainPeer) != 0);
       if (verdict.dropped) {
         ++dropped;
         continue;  // sent, lost in transit
@@ -627,12 +652,11 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
       continue;
     }
     ++sent;
-    // First visits and duplicates interleave unpredictably: test both
-    // marks without a branch, and branch only on a likely hit.
+    // First visits and duplicates interleave unpredictably: mark without a
+    // branch, and branch only on a likely hit.
     const bool first = earliest_push(next, target);
-    const bool holds = holder_stamp_[target] == stamp_;
     reached += first ? 1u : 0u;
-    if ((first & holds) && serves(target)) {
+    if (first && (fact & HopFact::kServes) != 0) {
       parent_[target] = ev.node;
       settled_hits_.push(next, QueryEvent{target, ev.node, ev.depth + 1, 0});
       order_.push(next, OrderEntry{OrderEntry::kSettledHit, settled});

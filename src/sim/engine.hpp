@@ -223,6 +223,7 @@ class Engine {
     ShardQueue queue;
     std::vector<EventResult> results;  ///< parallel to queue.at(now)
     std::vector<NodeId> emissions;
+    std::vector<std::uint8_t> facts;  ///< HopFact per emission (TTL-1 senders)
   };
 
   /// Peers per partition block: one cache line of a u32 per-peer array,
@@ -270,12 +271,17 @@ class Engine {
   /// routed targets on.
   void answer(const overlay::Query& query, NodeId origin,
               const QueryEvent& ev, PassState& st);
+  /// `facts` holds a HopFact per target when `ev` is a duplicate-suppressed
+  /// TTL-1 sender, and is empty otherwise.
   void forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
-               std::span<const NodeId> targets, bool directed, PassState& st);
+               std::span<const NodeId> targets,
+               std::span<const std::uint8_t> facts, bool directed,
+               PassState& st);
   /// forward()'s loop for a duplicate-suppressed sender at TTL 1: settle
   /// each final hop due next round as it is sent.
   void settle_final_hops(std::uint64_t now, const QueryEvent& ev,
-                         std::span<const NodeId> targets, PassState& st);
+                         std::span<const NodeId> targets,
+                         std::span<const std::uint8_t> facts, PassState& st);
   /// Send one hop that the fault verdict let through: truncate it past the
   /// budget, else push it (twice when duplicated).
   void send(std::uint64_t now, const QueryEvent& ev, NodeId target,

@@ -34,8 +34,8 @@ struct QueryEvent {
 };
 
 /// What the parallel (pure per-peer) half of a round computed for one event:
-/// which flags fired and where the routed targets sit in the owning shard's
-/// emission buffer.  Results sit at the same index as their event in the
+/// which flags fired and where the routed targets, and their HopFact bytes,
+/// sit in the owning shard's emission and fact buffers.  Results sit at the same index as their event in the
 /// shard's slot; the serial apply phase consumes them in push order.
 struct EventResult {
   static constexpr std::uint8_t kFirstVisit = 1u << 0;
@@ -46,6 +46,14 @@ struct EventResult {
   std::uint32_t emit_offset = 0;  ///< into the shard's emission buffer
   std::uint32_t emit_count = 0;
   std::uint8_t flags = 0;
+};
+
+/// Order-free facts about one hop a TTL-1 sender emits, computed in the
+/// route phase into a byte beside the hop's target: the serial phase
+/// settles the hop from this byte instead of two random per-peer reads.
+struct HopFact {
+  static constexpr std::uint8_t kServes = 1u << 0;  ///< holds the target, answers
+  static constexpr std::uint8_t kPlainPeer = 1u << 1;  ///< neither crashed nor slow
 };
 
 /// A calendar of slots indexed by pass-relative arrival stamp, one vector

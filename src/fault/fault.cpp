@@ -65,20 +65,31 @@ void FaultSchedule::add(const FaultEvent& event) {
   events_.insert(pos, event);
 }
 
+namespace {
+
+/// The fault seed split away from the topology/workload stream, so the same
+/// 64-bit value can seed both without correlation: output `n` of a
+/// splitmix64 stream keyed on it (0 seeds the rng, 1 the verdict hash).
+std::uint64_t fault_stream(std::uint64_t fault_seed, int n) {
+  std::uint64_t s = fault_seed ^ 0xfa017eedULL;
+  std::uint64_t out = util::splitmix64(s);
+  for (int i = 0; i < n; ++i) out = util::splitmix64(s);
+  return out;
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(FaultPlan plan, FaultSchedule schedule,
                              std::uint64_t fault_seed, std::size_t nodes)
     : plan_(std::move(plan)),
       plain_plan_(plan_.links.empty() && plan_.duplicate == 0.0 &&
                   plan_.max_delay == 0),
-      forward_dropped_(&FaultMetrics::get().forward_dropped),
+      drop_below_(below(plan_.drop)),
+      verdict_seed_(fault_stream(fault_seed, 1)),
+      clock_key_(util::mix64(verdict_seed_)),
       events_(schedule.events()),
       states_(nodes, PeerState::healthy),
-      rng_([fault_seed] {
-        // Split the fault seed away from the topology/workload stream so the
-        // same 64-bit value can seed both without correlation.
-        std::uint64_t s = fault_seed ^ 0xfa017eedULL;
-        return util::splitmix64(s);
-      }()) {
+      rng_(fault_stream(fault_seed, 0)) {
   for (const FaultPlan::PeerOverride& peer : plan_.peers) {
     if (peer.node < states_.size()) states_[peer.node] = peer.state;
   }
@@ -108,6 +119,7 @@ void FaultInjector::apply(const FaultEvent& event) {
 
 void FaultInjector::begin_search(std::uint64_t clock) {
   clock_ = clock;
+  clock_key_ = util::mix64(verdict_seed_ ^ clock);
   while (next_event_ < events_.size() && events_[next_event_].at <= clock) {
     apply(events_[next_event_++]);
   }
@@ -137,37 +149,43 @@ double FaultInjector::link_drop(NodeId from, NodeId to) const {
   return plan_.drop;
 }
 
-ForwardVerdict FaultInjector::forward_verdict(NodeId from, NodeId to) {
+ForwardVerdict FaultInjector::forward_verdict(const ForwardKey& key) const {
   ForwardVerdict verdict;
-  if (severed(from, to)) {
-    verdict.dropped = true;
-    FaultMetrics::get().partition_severed.add(1);
+  if (severed(key.from, key.to)) {
+    verdict.loss = Loss::severed;
     return verdict;
   }
-  if (crashed(to)) {
-    verdict.dropped = true;
-    FaultMetrics::get().crashed_rx.add(1);
+  if (crashed(key.to)) {
+    verdict.loss = Loss::crashed;
     return verdict;
   }
-  const double p = link_drop(from, to);
-  if (p > 0.0 && rng_.chance(p)) {
-    verdict.dropped = true;
-    FaultMetrics::get().forward_dropped.add(1);
+  const double p = link_drop(key.from, key.to);
+  if ((draw(key, 0) >> 11) < below(p)) {
+    verdict.loss = Loss::dropped;
     return verdict;
   }
-  if (plan_.duplicate > 0.0 && rng_.chance(plan_.duplicate)) {
-    verdict.duplicated = true;
-    FaultMetrics::get().duplicated.add(1);
+  if (plan_.duplicate > 0.0) {
+    verdict.duplicated = (draw(key, 1) >> 11) < below(plan_.duplicate);
   }
   if (plan_.max_delay > 0) {
-    verdict.delay = static_cast<std::uint32_t>(
-        rng_.below(std::uint64_t{plan_.max_delay} + 1));
+    // Multiply-shift onto [0, max_delay]: the bias is below 2^-32.
+    const auto wide = static_cast<__uint128_t>(draw(key, 2)) *
+                      (std::uint64_t{plan_.max_delay} + 1);
+    verdict.delay = static_cast<std::uint32_t>(wide >> 64);
   }
-  if (state(from) == PeerState::slow || state(to) == PeerState::slow) {
+  if (state(key.from) == PeerState::slow || state(key.to) == PeerState::slow) {
     verdict.delay += plan_.slow_extra;
   }
-  if (verdict.delay > 0) FaultMetrics::get().delay_stamps.add(verdict.delay);
   return verdict;
+}
+
+void FaultInjector::record(const ForwardTally& tally) {
+  FaultMetrics& metrics = FaultMetrics::get();
+  if (tally.dropped != 0) metrics.forward_dropped.add(tally.dropped);
+  if (tally.crashed_rx != 0) metrics.crashed_rx.add(tally.crashed_rx);
+  if (tally.severed != 0) metrics.partition_severed.add(tally.severed);
+  if (tally.duplicated != 0) metrics.duplicated.add(tally.duplicated);
+  if (tally.delay_stamps != 0) metrics.delay_stamps.add(tally.delay_stamps);
 }
 
 bool FaultInjector::reply_lost(NodeId from, NodeId to) {

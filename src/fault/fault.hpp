@@ -5,9 +5,10 @@
 // unreliable: reply paths drift, peers vanish mid-query, and free riders
 // forward queries they will never answer.  This module models exactly that
 // regime while keeping every run reproducible: the overlay consults a
-// FaultInjector at every message hop and peer touch, and all stochastic
-// fault decisions draw from one util::Rng seeded from the fault seed alone —
-// a run is a pure function of (topology seed, fault seed).
+// FaultInjector at every message hop and peer touch, and every stochastic
+// fault decision derives from the fault seed alone — a forward's verdict
+// hashes the message's key, reply and probe losses draw from one util::Rng
+// — so a run is a pure function of (topology seed, fault seed).
 //
 //   * FaultPlan       — the static fault model: message drop / duplicate
 //                       probabilities, per-hop delay in stamps, per-link
@@ -24,11 +25,11 @@
 // nothing: sim::Engine with such an injector is bit-for-bit identical to an
 // engine with no injector at all (enforced by differential tests).
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace aar::fault {
@@ -78,7 +79,7 @@ struct FaultPlan {
   [[nodiscard]] static FaultPlan none() noexcept { return {}; }
 
   /// True when the plan can never lose, duplicate, or delay a message —
-  /// i.e. the injector will never draw from its rng.
+  /// i.e. the injector will never draw.
   [[nodiscard]] bool lossless() const noexcept {
     return drop == 0.0 && duplicate == 0.0 && max_delay == 0 &&
            peers.empty() && links.empty();
@@ -116,24 +117,73 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;
 };
 
-/// Verdict for one query forward, drawn deterministically from the fault rng.
+/// Why a query forward was lost.
+enum class Loss : std::uint8_t {
+  none,     ///< delivered
+  severed,  ///< an active partition separates the ends
+  crashed,  ///< the recipient is crashed
+  dropped,  ///< lost in transit (the plan's or the link's drop probability)
+};
+
+/// Verdict for one query forward: a pure function of its ForwardKey.
 struct ForwardVerdict {
-  bool dropped = false;
+  Loss loss = Loss::none;
   bool duplicated = false;
   std::uint32_t delay = 0;  ///< extra stamps on top of the 1-stamp hop
 
+  [[nodiscard]] bool dropped() const noexcept { return loss != Loss::none; }
   /// True when the hop arrives exactly once, one stamp after it is sent.
   /// sim::Engine settles such a final hop without queueing it, so a field
   /// that changes how a delivered hop arrives must make this false.
   [[nodiscard]] bool plain() const noexcept {
-    return !dropped && !duplicated && delay == 0;
+    return !dropped() && !duplicated && delay == 0;
   }
 };
 
-/// Runtime fault state for one overlay.  All probabilistic decisions draw
-/// from a dedicated rng seeded by `fault_seed` through splitmix64, so the
-/// fault stream never perturbs (and is never perturbed by) the overlay's own
-/// topology / workload rng.
+/// Names one query forward.  `sender` is FaultInjector::sender_key of the
+/// sending event — (search clock, pass, slot, from, copy) hashed once for
+/// all of its hops — and `index` is the hop's place in the sender's target
+/// list, so two messages of one pass never share a key, even when a walker
+/// sends twice along one link.
+struct ForwardKey {
+  std::uint64_t sender = 0;
+  NodeId from = 0;
+  NodeId to = 0;
+  std::uint32_t index = 0;
+};
+
+/// Forward verdicts counted by their fault.* counter.  A thread that judges
+/// hops keeps its own and hands it to FaultInjector::record.
+struct ForwardTally {
+  std::uint64_t dropped = 0;       ///< fault.forward_dropped
+  std::uint64_t crashed_rx = 0;    ///< fault.crashed_rx
+  std::uint64_t severed = 0;       ///< fault.partition_severed
+  std::uint64_t duplicated = 0;    ///< fault.duplicated
+  std::uint64_t delay_stamps = 0;  ///< fault.delay_stamps
+
+  void add(const ForwardVerdict& verdict) noexcept {
+    dropped += verdict.loss == Loss::dropped ? 1u : 0u;
+    crashed_rx += verdict.loss == Loss::crashed ? 1u : 0u;
+    severed += verdict.loss == Loss::severed ? 1u : 0u;
+    duplicated += verdict.duplicated ? 1u : 0u;
+    delay_stamps += verdict.delay;
+  }
+  ForwardTally& operator+=(const ForwardTally& other) noexcept {
+    dropped += other.dropped;
+    crashed_rx += other.crashed_rx;
+    severed += other.severed;
+    duplicated += other.duplicated;
+    delay_stamps += other.delay_stamps;
+    return *this;
+  }
+};
+
+/// Runtime fault state for one overlay.  A forward's verdict is a hash of
+/// its key and the fault seed, so any thread may decide any hop in any
+/// order; reply and probe losses and retry jitter draw from a dedicated rng.
+/// Both derive from `fault_seed` through splitmix64, so the fault stream
+/// never perturbs (and is never perturbed by) the overlay's own topology /
+/// workload rng.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, FaultSchedule schedule,
@@ -143,27 +193,36 @@ class FaultInjector {
   /// `at <= clock`.  Called by sim::Engine::search once per search.
   void begin_search(std::uint64_t clock);
 
-  /// Fault verdict for a query forward `from -> to`.  A plain hop — no
-  /// partition, a plan with no link overrides, duplicates or delay, and
-  /// neither end crashed or slow — is decided here with the one drop draw
-  /// the full rules would make; every other hop takes the full rules.
-  [[nodiscard]] ForwardVerdict on_forward(NodeId from, NodeId to) {
-    return on_forward(from, to, plain_peer(from) && plain_peer(to));
+  /// The sender's part of a ForwardKey: the search clock, the pass's ordinal
+  /// within its search, the slot the sending event arrived in, the sender,
+  /// and `copy`, which tells apart the events one peer routes in one slot
+  /// (a walker revisiting; 0 where a peer routes at most once per pass).
+  [[nodiscard]] std::uint64_t sender_key(std::uint32_t pass,
+                                         std::uint64_t slot, NodeId from,
+                                         std::uint32_t copy) const noexcept {
+    const std::uint64_t h = util::mix64(
+        clock_key_ ^ ((std::uint64_t{pass} << 32) | (slot & 0xffffffffULL)));
+    return util::mix64(h ^ ((std::uint64_t{from} << 32) | copy));
   }
-  /// on_forward with `ends_plain` == plain_peer(from) && plain_peer(to)
-  /// already known.
-  [[nodiscard]] ForwardVerdict on_forward(NodeId from, NodeId to,
-                                          bool ends_plain) {
-    if (!plain_plan_ || partitioned_ || !ends_plain) {
-      return forward_verdict(from, to);
+
+  /// Fault verdict for a query forward.  A pure function of the fault seed,
+  /// the key and the fault state (plan, peer states, partition), which
+  /// change only between searches: it draws from no rng, counts nothing
+  /// (the caller hands what it acted on to record()), and may run on any
+  /// thread.  A plain hop — no partition, a plan with no link overrides,
+  /// duplicates or delay, and neither end crashed or slow — needs only the
+  /// drop draw; every other hop takes the full rules.
+  [[nodiscard]] ForwardVerdict on_forward(const ForwardKey& key) const {
+    if (!plain_plan_ || partitioned_ || !plain_peer(key.from) ||
+        !plain_peer(key.to)) {
+      return forward_verdict(key);
     }
     ForwardVerdict verdict;
-    if (plan_.drop > 0.0 && rng_.chance(plan_.drop)) {
-      verdict.dropped = true;
-      forward_dropped_->add(1);
-    }
+    if ((draw(key, 0) >> 11) < drop_below_) verdict.loss = Loss::dropped;
     return verdict;
   }
+  /// Fold counted forward verdicts into the fault.* counters.
+  void record(const ForwardTally& tally);
   /// True when a reply hop `from -> to` is lost in transit.
   [[nodiscard]] bool reply_lost(NodeId from, NodeId to);
   /// True when a direct shortcut probe `from -> to` goes unanswered.
@@ -194,12 +253,6 @@ class FaultInjector {
   /// A churned-out peer is replaced by a fresh (healthy) one.
   void on_peer_replaced(NodeId node);
 
-  /// Neither crashed nor slow: the peer adds no rule to a forward's verdict.
-  [[nodiscard]] bool plain_peer(NodeId node) const {
-    const PeerState s = state(node);
-    return s == PeerState::healthy || s == PeerState::free_riding;
-  }
-
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
   [[nodiscard]] std::uint64_t events_applied() const noexcept {
@@ -208,16 +261,38 @@ class FaultInjector {
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
  private:
+  /// Neither crashed nor slow: the peer adds no rule to a forward's verdict.
+  [[nodiscard]] bool plain_peer(NodeId node) const {
+    const PeerState s = state(node);
+    return s == PeerState::healthy || s == PeerState::free_riding;
+  }
+  /// The hop's `n`-th 64-bit draw (0 drop, 1 duplicate, 2 delay): its key
+  /// hashed, then stepped as a splitmix64 stream from there.
+  [[nodiscard]] static std::uint64_t draw(const ForwardKey& key,
+                                          std::uint64_t n) noexcept {
+    const std::uint64_t hop = util::mix64(
+        key.sender ^ ((std::uint64_t{key.to} << 32) | key.index));
+    return n == 0 ? hop : util::mix64(hop + n * 0x9e3779b97f4a7c15ULL);
+  }
+  /// A draw `bits` succeeds with probability p when `(bits >> 11) <
+  /// below(p)`: util::Rng::chance's `uniform() < p`, in integers.
+  [[nodiscard]] static std::uint64_t below(double p) noexcept {
+    return p <= 0.0 ? 0 : p >= 1.0 ? std::uint64_t{1} << 53
+                                   : static_cast<std::uint64_t>(
+                                         std::ceil(p * 0x1.0p53));
+  }
   /// on_forward's full rules: partitions, crashes, link overrides,
   /// duplicates, delay and slow peers.
-  [[nodiscard]] ForwardVerdict forward_verdict(NodeId from, NodeId to);
+  [[nodiscard]] ForwardVerdict forward_verdict(const ForwardKey& key) const;
   [[nodiscard]] double link_drop(NodeId from, NodeId to) const;
   void apply(const FaultEvent& event);
 
   FaultPlan plan_;
   /// The plan has no link overrides, duplicates or delay (it never changes).
   bool plain_plan_ = false;
-  obs::Counter* forward_dropped_;  ///< fault.forward_dropped
+  std::uint64_t drop_below_;    ///< below(plan_.drop)
+  std::uint64_t verdict_seed_;  ///< the fault seed's stream for verdicts
+  std::uint64_t clock_key_;     ///< verdict_seed_ mixed with the clock
   std::vector<FaultEvent> events_;  ///< sorted by `at`
   std::size_t next_event_ = 0;
   std::vector<PeerState> states_;

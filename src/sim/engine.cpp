@@ -404,7 +404,6 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
   shard.results.clear();
   shard.emissions.clear();
   shard.facts.clear();
-  const fault::FaultInjector* const faults = faults_.get();
   const std::uint64_t first_mark = queue_mark(now);
   for (const QueryEvent& ev : shard.queue.at(now)) {
     EventResult r;
@@ -449,22 +448,60 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
     r.emit_count =
         static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
     shard.facts.resize(shard.emissions.size());
-    if (ev.ttl == 1) {
-      // The facts settle_final_hops needs, read here on the route phase's
-      // thread: the pass's holder marks and the fault states are fixed for
-      // the whole pass.
-      for (std::uint32_t i = r.emit_offset; i < shard.emissions.size(); ++i) {
-        const NodeId target = shard.emissions[i];
-        std::uint8_t fact = 0;
-        if (serves(target)) fact |= HopFact::kServes;
-        if (faults == nullptr || faults->plain_peer(target)) {
-          fact |= HopFact::kPlainPeer;
-        }
-        shard.facts[i] = fact;
-      }
-    }
+    // A peer routes at most once per duplicate-suppressed pass: copy 0.
+    judge_hops(now, ev, 0,
+               std::span<const NodeId>(shard.emissions.data() + r.emit_offset,
+                                       r.emit_count),
+               shard.facts.data() + r.emit_offset, shard.tally);
     shard.results.push_back(r);
   }
+}
+
+void Engine::judge_hops(std::uint64_t now, const QueryEvent& ev,
+                        std::uint32_t copy, std::span<const NodeId> targets,
+                        std::uint8_t* facts,
+                        fault::ForwardTally& tally) const {
+  // The pass's holder marks and the fault state are fixed for the whole
+  // pass, and a verdict is a pure function of its key: nothing here depends
+  // on the order hops are judged in.  Locals keep the loop off the members:
+  // a byte store may alias any of them.
+  const bool final_sender = ev.ttl == 1;
+  const std::uint32_t* const holder = holder_stamp_.data();
+  const std::uint32_t stamp = stamp_;
+  const fault::FaultInjector* const faults = faults_.get();
+  if (faults == nullptr) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const bool serves = final_sender && holder[targets[i]] == stamp;
+      facts[i] = HopFact::kPlain | (serves ? HopFact::kServes : 0);
+    }
+    return;
+  }
+  const std::uint64_t sender = faults->sender_key(pass_, now, ev.node, copy);
+  fault::ForwardTally judged;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const NodeId target = targets[i];
+    const fault::ForwardVerdict verdict = faults->on_forward(
+        {sender, ev.node, target, static_cast<std::uint32_t>(i)});
+    judged.add(verdict);
+    std::uint8_t fact = verdict.dropped() ? HopFact::kDropped
+                        : verdict.plain() ? HopFact::kPlain
+                                          : 0;
+    if (final_sender && holder[target] == stamp &&
+        faults->shares_content(target)) {
+      fact |= HopFact::kServes;
+    }
+    facts[i] = fact;
+  }
+  tally += judged;
+}
+
+fault::ForwardVerdict Engine::verdict_of(std::uint64_t now,
+                                         const QueryEvent& ev,
+                                         std::uint32_t copy, NodeId target,
+                                         std::size_t index) const {
+  return faults_->on_forward({faults_->sender_key(pass_, now, ev.node, copy),
+                              ev.node, target,
+                              static_cast<std::uint32_t>(index)});
 }
 
 void Engine::route_round(std::uint64_t now, const overlay::Query& query,
@@ -522,7 +559,7 @@ void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
     if ((r.flags & EventResult::kFirstVisit) != 0) ++st.pass.nodes_reached;
     if ((r.flags & EventResult::kHit) != 0) answer(query, origin, ev, st);
     if ((r.flags & EventResult::kRouted) == 0) continue;
-    forward(now, origin, ev,
+    forward(now, origin, ev, 0,
             std::span<const NodeId>(shard.emissions.data() + r.emit_offset,
                                     r.emit_count),
             std::span<const std::uint8_t>(shard.facts.data() + r.emit_offset,
@@ -540,8 +577,11 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
   // push order and do each event's whole work here (nothing is settled).
   std::fill(cursor_.begin(), cursor_.end(), 0);
   // Idle in a revisiting pass: there is no parallel phase.
-  std::vector<NodeId>& targets = shard_state_.front().emissions;
+  Shard& scratch = shard_state_.front();
+  std::vector<NodeId>& targets = scratch.emissions;
+  std::uint32_t position = 0;  // the event's place in the slot
   for (const OrderEntry entry : order_.at(now)) {
+    const std::uint32_t copy = position++;
     --st.frontier_size;
     const std::uint32_t s = entry.shard;
     const QueryEvent ev = shard_state_[s].queue.at(now)[cursor_[s]++];
@@ -561,7 +601,9 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     const bool directed = policies_[ev.node]->route(
         query, ev.node, ev.from, neighbors(ev.node), rng_, targets);
     std::erase(targets, ev.node);
-    forward(now, origin, ev, targets, {}, directed, st);
+    scratch.facts.resize(targets.size());
+    judge_hops(now, ev, copy, targets, scratch.facts.data(), scratch.tally);
+    forward(now, origin, ev, copy, targets, scratch.facts, directed, st);
   }
 }
 
@@ -583,7 +625,7 @@ void Engine::answer(const overlay::Query& query, NodeId origin,
 }
 
 void Engine::forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
-                     std::span<const NodeId> targets,
+                     std::uint32_t copy, std::span<const NodeId> targets,
                      std::span<const std::uint8_t> facts, bool directed,
                      PassState& st) {
   if (ev.node == origin && ev.depth == 0) st.origin_decision = directed;
@@ -591,17 +633,17 @@ void Engine::forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
   if (ev.ttl == 1 && !revisit_pass_) {
     settle_final_hops(now, ev, targets, facts, st);
   } else {
-    for (const NodeId target : targets) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
       ++st.pass.query_messages;
-      fault::ForwardVerdict verdict;
-      if (faults_ != nullptr) {
-        verdict = faults_->on_forward(ev.node, target);
-        if (verdict.dropped) {
-          ++st.pass.dropped;
-          continue;  // sent, lost in transit
-        }
+      if ((facts[i] & HopFact::kDropped) != 0) {
+        ++st.pass.dropped;
+        continue;  // sent, lost in transit
       }
-      send(now, ev, target, verdict, st);
+      send(now, ev, targets[i],
+           (facts[i] & HopFact::kPlain) != 0
+               ? fault::ForwardVerdict{}
+               : verdict_of(now, ev, copy, targets[i], i),
+           st);
     }
   }
   st.frontier_peak =
@@ -618,8 +660,8 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
   // place in the log, and only that answer's reply reads the hop's
   // reverse-path parent.  A delayed or duplicated hop is pushed as any
   // other.  Past the budget every hop is in flight when the pass ends: none
-  // touches slot `next`, which may lie past the pass's calendar.
-  fault::FaultInjector* const faults = faults_.get();
+  // touches slot `next`, which may lie past the pass's calendar.  The
+  // verdicts and the hit marks come from the hops' facts.
   const std::uint64_t next = now + 1;
   const bool late = next > st.budget;
   std::uint64_t queries = 0;
@@ -627,27 +669,21 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
   std::uint32_t reached = 0;
   std::uint64_t sent = 0;
   std::uint32_t settled = late ? 0 : settled_[next];
-  const bool sender_plain = faults == nullptr || faults->plain_peer(ev.node);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const NodeId target = targets[i];
     const std::uint8_t fact = facts[i];
     ++queries;
-    fault::ForwardVerdict verdict;
-    if (faults != nullptr) {
-      verdict = faults->on_forward(
-          ev.node, target, sender_plain && (fact & HopFact::kPlainPeer) != 0);
-      if (verdict.dropped) {
-        ++dropped;
-        continue;  // sent, lost in transit
-      }
+    if ((fact & HopFact::kDropped) != 0) {
+      ++dropped;
+      continue;  // sent, lost in transit
     }
     if (late) {
       st.pass.truncated = true;  // still in flight when the budget runs out
       continue;
     }
-    if (!verdict.plain()) {
+    if ((fact & HopFact::kPlain) == 0) {
       settled_[next] = settled;  // a duplicate copy counts there
-      send(now, ev, target, verdict, st);
+      send(now, ev, target, verdict_of(now, ev, 0, target, i), st);
       settled = settled_[next];
       continue;
     }
@@ -751,6 +787,14 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
     for (Shard& shard : shard_state_) shard.queue.at(now).clear();
   }
 
+  if (faults_ != nullptr) {
+    for (Shard& shard : shard_state_) {
+      faults_->record(shard.tally);
+      shard.tally = {};
+    }
+  }
+  ++pass_;
+
   static obs::Histogram& peak_hist = obs::Registry::global().histogram(
       "overlay.frontier_peak", 0.0, 1024.0, 64);
   peak_hist.observe(static_cast<double>(st.frontier_peak));
@@ -783,6 +827,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
   const std::uint32_t ttl =
       options.ttl != 0 ? options.ttl : config_.default_ttl;
   ++search_clock_;
+  pass_ = 0;
   if (faults_ != nullptr) faults_->begin_search(search_clock_);
 
   overlay::Query query;

@@ -223,7 +223,8 @@ class Engine {
     ShardQueue queue;
     std::vector<EventResult> results;  ///< parallel to queue.at(now)
     std::vector<NodeId> emissions;
-    std::vector<std::uint8_t> facts;  ///< HopFact per emission (TTL-1 senders)
+    std::vector<std::uint8_t> facts;  ///< HopFact per emission
+    fault::ForwardTally tally;        ///< verdicts judged, folded per pass
   };
 
   /// Peers per partition block: one cache line of a u32 per-peer array,
@@ -271,10 +272,22 @@ class Engine {
   /// routed targets on.
   void answer(const overlay::Query& query, NodeId origin,
               const QueryEvent& ev, PassState& st);
-  /// `facts` holds a HopFact per target when `ev` is a duplicate-suppressed
-  /// TTL-1 sender, and is empty otherwise.
+  /// Judge `ev`'s routed targets into one HopFact each.  Order-free: the
+  /// route phase calls it on any thread, revisit_round serially.  `copy`
+  /// tells apart the events one peer routes in one slot (see sender_key).
+  void judge_hops(std::uint64_t now, const QueryEvent& ev, std::uint32_t copy,
+                  std::span<const NodeId> targets, std::uint8_t* facts,
+                  fault::ForwardTally& tally) const;
+  /// The verdict of hop `index` of `ev`, decided again where its HopFact
+  /// says only that it is neither dropped nor plain.
+  [[nodiscard]] fault::ForwardVerdict verdict_of(std::uint64_t now,
+                                                 const QueryEvent& ev,
+                                                 std::uint32_t copy,
+                                                 NodeId target,
+                                                 std::size_t index) const;
+  /// `facts` holds the judge_hops byte of each target.
   void forward(std::uint64_t now, NodeId origin, const QueryEvent& ev,
-               std::span<const NodeId> targets,
+               std::uint32_t copy, std::span<const NodeId> targets,
                std::span<const std::uint8_t> facts, bool directed,
                PassState& st);
   /// forward()'s loop for a duplicate-suppressed sender at TTL 1: settle
@@ -356,6 +369,7 @@ class Engine {
   std::uint32_t stamp_ = 0;
   trace::Guid next_guid_ = 1;
   std::uint64_t search_clock_ = 0;
+  std::uint32_t pass_ = 0;  ///< the current pass's ordinal in its search
 
   std::size_t shards_ = 1;
   std::size_t threads_ = 1;

@@ -48,12 +48,15 @@ struct EventResult {
   std::uint8_t flags = 0;
 };
 
-/// Order-free facts about one hop a TTL-1 sender emits, computed in the
-/// route phase into a byte beside the hop's target: the serial phase
-/// settles the hop from this byte instead of two random per-peer reads.
+/// Order-free facts about one emitted hop, computed where the hop is routed
+/// into a byte beside its target: its fault verdict in brief and, for a
+/// TTL-1 sender, whether the target answers.  The serial phase sends or
+/// settles the hop from this byte alone unless the verdict is neither
+/// dropped nor plain (a duplicate or a delay), which it decides again.
 struct HopFact {
-  static constexpr std::uint8_t kServes = 1u << 0;  ///< holds the target, answers
-  static constexpr std::uint8_t kPlainPeer = 1u << 1;  ///< neither crashed nor slow
+  static constexpr std::uint8_t kServes = 1u << 0;   ///< holds the target, answers
+  static constexpr std::uint8_t kDropped = 1u << 1;  ///< lost in transit
+  static constexpr std::uint8_t kPlain = 1u << 2;    ///< ForwardVerdict::plain()
 };
 
 /// A calendar of slots indexed by pass-relative arrival stamp, one vector

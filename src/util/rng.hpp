@@ -15,13 +15,18 @@
 
 namespace aar::util {
 
-/// splitmix64 step; used for seeding and as a cheap stateless mixer.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
+/// The SplitMix64 finalizer: a bijection on 64-bit words that spreads every
+/// input bit over the output; a cheap stateless hash.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// splitmix64 step; used for seeding and as a cheap stateless mixer.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  return mix64(state);
 }
 
 /// xoshiro256** PRNG.  Satisfies std::uniform_random_bit_generator.

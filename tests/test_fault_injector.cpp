@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -16,6 +18,13 @@
 
 namespace aar::fault {
 namespace {
+
+/// The verdict of the hop `from -> to`, sent by the first pass's event at
+/// `slot` (the one hop of its sender).
+ForwardVerdict forward(const FaultInjector& injector, NodeId from, NodeId to,
+                       std::uint64_t slot = 0) {
+  return injector.on_forward({injector.sender_key(0, slot, from, 0), from, to, 0});
+}
 
 TEST(PeerStateNames, RoundTrip) {
   for (const PeerState state :
@@ -45,9 +54,9 @@ TEST(FaultInjector, CrashedPeerDropsEveryInboundMessage) {
   plan.peers.push_back({.node = 2, .state = PeerState::crashed});
   FaultInjector injector(plan, {}, 1, 8);
   EXPECT_TRUE(injector.crashed(2));
-  EXPECT_TRUE(injector.on_forward(1, 2).dropped);
-  EXPECT_FALSE(injector.on_forward(2, 1).dropped);  // out of a crashed node
-  EXPECT_FALSE(injector.on_forward(0, 1).dropped);
+  EXPECT_TRUE(forward(injector, 1, 2).dropped());
+  EXPECT_FALSE(forward(injector, 2, 1).dropped());  // out of a crashed node
+  EXPECT_FALSE(forward(injector, 0, 1).dropped());
 }
 
 TEST(FaultInjector, ScheduleAppliesUpToClock) {
@@ -81,12 +90,12 @@ TEST(FaultInjector, PartitionSeversCrossPivotLinksOnly) {
   EXPECT_TRUE(injector.severed(5, 0));
   EXPECT_FALSE(injector.severed(0, 3));
   EXPECT_FALSE(injector.severed(5, 7));
-  EXPECT_TRUE(injector.on_forward(1, 6).dropped);
+  EXPECT_TRUE(forward(injector, 1, 6).dropped());
   EXPECT_TRUE(injector.reply_lost(6, 1));
 
   injector.begin_search(3);
   EXPECT_FALSE(injector.partitioned());
-  EXPECT_FALSE(injector.on_forward(1, 6).dropped);
+  EXPECT_FALSE(forward(injector, 1, 6).dropped());
 }
 
 TEST(FaultInjector, SlowPeersDelayAndStillAnswer) {
@@ -94,9 +103,9 @@ TEST(FaultInjector, SlowPeersDelayAndStillAnswer) {
   plan.slow_extra = 7;
   plan.peers.push_back({.node = 1, .state = PeerState::slow});
   FaultInjector injector(plan, {}, 1, 4);
-  EXPECT_EQ(injector.on_forward(0, 1).delay, 7u);
-  EXPECT_EQ(injector.on_forward(1, 2).delay, 7u);
-  EXPECT_EQ(injector.on_forward(2, 3).delay, 0u);
+  EXPECT_EQ(forward(injector, 0, 1).delay, 7u);
+  EXPECT_EQ(forward(injector, 1, 2).delay, 7u);
+  EXPECT_EQ(forward(injector, 2, 3).delay, 0u);
   EXPECT_TRUE(injector.shares_content(1));
 }
 
@@ -105,7 +114,7 @@ TEST(FaultInjector, FreeRidersForwardButNeverAnswer) {
   plan.peers.push_back({.node = 3, .state = PeerState::free_riding});
   FaultInjector injector(plan, {}, 1, 8);
   EXPECT_FALSE(injector.shares_content(3));
-  EXPECT_FALSE(injector.on_forward(2, 3).dropped);  // still forwards
+  EXPECT_FALSE(forward(injector, 2, 3).dropped());  // still forwards
   EXPECT_TRUE(injector.probe_lost(0, 3));           // but probes go unanswered
   EXPECT_TRUE(injector.shares_content(4));
 }
@@ -115,9 +124,9 @@ TEST(FaultInjector, LinkOverrideBeatsGlobalDrop) {
   plan.drop = 0.0;
   plan.links.push_back({.a = 0, .b = 1, .drop = 1.0});
   FaultInjector injector(plan, {}, 1, 4);
-  EXPECT_TRUE(injector.on_forward(0, 1).dropped);
-  EXPECT_TRUE(injector.on_forward(1, 0).dropped);  // undirected
-  EXPECT_FALSE(injector.on_forward(1, 2).dropped);
+  EXPECT_TRUE(forward(injector, 0, 1).dropped());
+  EXPECT_TRUE(forward(injector, 1, 0).dropped());  // undirected
+  EXPECT_FALSE(forward(injector, 1, 2).dropped());
   EXPECT_TRUE(injector.reply_lost(1, 0));
   EXPECT_FALSE(injector.reply_lost(1, 2));
 }
@@ -139,8 +148,8 @@ TEST(FaultInjector, LosslessPlanNeverTouchesItsRng) {
   FaultInjector used(FaultPlan::none(), {}, 99, 16);
   FaultInjector fresh(FaultPlan::none(), {}, 99, 16);
   for (int i = 0; i < 5'000; ++i) {
-    const ForwardVerdict v = used.on_forward(0, 1);
-    EXPECT_FALSE(v.dropped);
+    const ForwardVerdict v = forward(used, 0, 1, static_cast<std::uint64_t>(i));
+    EXPECT_FALSE(v.dropped());
     EXPECT_FALSE(v.duplicated);
     EXPECT_EQ(v.delay, 0u);
     EXPECT_FALSE(used.reply_lost(1, 0));
@@ -159,21 +168,131 @@ TEST(FaultInjector, SameSeedSameVerdictStream) {
   FaultInjector a(plan, {}, 1234, 8);
   FaultInjector b(plan, {}, 1234, 8);
   for (int i = 0; i < 2'000; ++i) {
-    const ForwardVerdict va = a.on_forward(0, 1);
-    const ForwardVerdict vb = b.on_forward(0, 1);
-    EXPECT_EQ(va.dropped, vb.dropped);
+    const auto slot = static_cast<std::uint64_t>(i);
+    const ForwardVerdict va = forward(a, 0, 1, slot);
+    const ForwardVerdict vb = forward(b, 0, 1, slot);
+    EXPECT_EQ(va.loss, vb.loss);
     EXPECT_EQ(va.duplicated, vb.duplicated);
     EXPECT_EQ(va.delay, vb.delay);
+  }
+}
+
+// --- the verdict function --------------------------------------------------
+
+/// |observed - n p| within five binomial standard deviations.
+void expect_binomial(std::uint64_t observed, std::uint64_t n, double p,
+                     const char* what) {
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(static_cast<double>(n) * p * (1.0 - p));
+  EXPECT_LE(std::fabs(static_cast<double>(observed) - mean), 5.0 * sd + 1.0)
+      << what << ": " << observed << " of " << n << ", expected " << mean;
+}
+
+TEST(FaultVerdicts, RatesMatchThePlanWithinBinomialBounds) {
+  // Keys shaped like the engine's: consecutive searches, passes and slots,
+  // senders with consecutive ids and several targets each, and a walker's
+  // second copy of every event.  Drops, duplicates and each delay value
+  // must come at the plan's rates, and a hop's verdicts under two copies
+  // agree no more often than two independent draws would.
+  FaultPlan plan;
+  plan.drop = 0.1;
+  plan.duplicate = 0.2;
+  plan.max_delay = 3;
+  constexpr NodeId kNodes = 4096;
+  FaultInjector injector(plan, {}, 77, kNodes);
+  std::uint64_t hops = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::array<std::uint64_t, 4> delays{};
+  std::uint64_t pairs = 0;
+  std::uint64_t agree = 0;
+  for (std::uint64_t clock = 1; clock <= 20; ++clock) {
+    injector.begin_search(clock);
+    for (std::uint32_t pass = 0; pass < 2; ++pass) {
+      for (std::uint64_t slot = 0; slot < 4; ++slot) {
+        for (NodeId from = 0; from < 64; ++from) {
+          const std::uint64_t first = injector.sender_key(pass, slot, from, 0);
+          const std::uint64_t second = injector.sender_key(pass, slot, from, 1);
+          for (std::uint32_t index = 0; index < 8; ++index) {
+            const NodeId to = (from * 8 + index + 1) % kNodes;
+            const ForwardVerdict a = injector.on_forward({first, from, to, index});
+            const ForwardVerdict b = injector.on_forward({second, from, to, index});
+            for (const ForwardVerdict& v : {a, b}) {
+              ++hops;
+              if (v.dropped()) {
+                ++dropped;
+                continue;
+              }
+              duplicated += v.duplicated ? 1u : 0u;
+              ASSERT_LE(v.delay, plan.max_delay);
+              ++delays[v.delay];
+            }
+            ++pairs;
+            agree += a.dropped() == b.dropped() ? 1u : 0u;
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(hops, 163'840u);
+  expect_binomial(dropped, hops, plan.drop, "dropped");
+  const std::uint64_t delivered = hops - dropped;
+  expect_binomial(duplicated, delivered, plan.duplicate, "duplicated");
+  for (std::size_t d = 0; d < delays.size(); ++d) {
+    expect_binomial(delays[d], delivered, 0.25, "delay value");
+  }
+  const double p_agree = plan.drop * plan.drop + (1 - plan.drop) * (1 - plan.drop);
+  expect_binomial(agree, pairs, p_agree, "copies agreeing");
+}
+
+TEST(FaultVerdicts, EveryKeyFieldMovesTheVerdict) {
+  // Changing any one field of a hop's key — search clock, pass, slot,
+  // sender, copy, target or index — must redraw it: at drop 0.5, 4,000
+  // hops differing in one field disagree about half the time.
+  FaultPlan plan;
+  plan.drop = 0.5;
+  FaultInjector injector(plan, {}, 5, 64);
+  const auto drops = [&injector](std::uint64_t clock, std::uint32_t pass,
+                                 std::uint64_t slot, NodeId from,
+                                 std::uint32_t copy, NodeId to,
+                                 std::uint32_t index) {
+    injector.begin_search(clock);
+    return injector
+        .on_forward({injector.sender_key(pass, slot, from, copy), from, to, index})
+        .dropped();
+  };
+  constexpr int kHops = 4'000;
+  std::array<int, 7> differ{};
+  for (int i = 0; i < kHops; ++i) {
+    const auto clock = static_cast<std::uint64_t>(i / 40 + 1);
+    const auto slot = static_cast<std::uint64_t>(i % 5);
+    const auto from = static_cast<NodeId>(i % 31);
+    const auto to = static_cast<NodeId>((i + 7) % 29);
+    const auto index = static_cast<std::uint32_t>(i % 3);
+    const bool base = drops(clock, 0, slot, from, 0, to, index);
+    differ[0] += base != drops(clock + 1, 0, slot, from, 0, to, index);
+    differ[1] += base != drops(clock, 1, slot, from, 0, to, index);
+    differ[2] += base != drops(clock, 0, slot + 1, from, 0, to, index);
+    differ[3] += base != drops(clock, 0, slot, from + 31, 0, to, index);
+    differ[4] += base != drops(clock, 0, slot, from, 1, to, index);
+    differ[5] += base != drops(clock, 0, slot, from, 0, to + 29, index);
+    differ[6] += base != drops(clock, 0, slot, from, 0, to, index + 3);
+  }
+  for (const int d : differ) {
+    expect_binomial(static_cast<std::uint64_t>(d), kHops, 0.5, "field changed");
   }
 }
 
 // --- pinned: the verdict stream -------------------------------------------
 //
 // One seeded script of on_forward / reply_lost / probe_lost calls, mixed
-// with state flips over all four states, partitions and heals, per plan.
-// The digest folds every verdict and then the fault rng's next draw, so a
-// change that adds, skips or moves a draw, or that treats a slow, crashed,
-// free-riding or severed hop differently, moves it.
+// with state flips over all four states, partitions and heals, per plan;
+// each forward's key names its call.  The digest folds every verdict (its
+// loss cause, duplicate and delay) and then the fault rng's next draw, so a
+// change to the verdict hash, a reply or probe draw added, skipped or
+// moved, or a slow, crashed, free-riding or severed hop treated
+// differently, moves it.  Re-recorded once when a forward's verdict became
+// a hash of its key.
 
 std::uint64_t verdict_stream(const FaultPlan& plan, std::uint64_t seed) {
   constexpr NodeId kNodes = 48;
@@ -191,8 +310,10 @@ std::uint64_t verdict_stream(const FaultPlan& plan, std::uint64_t seed) {
     } else if (action < 6) {
       injector.heal_partition();
     } else if (action < 80) {
-      const ForwardVerdict verdict = injector.on_forward(from, to);
-      bytes.push_back(verdict.dropped ? 1 : 0);
+      const ForwardVerdict verdict = injector.on_forward(
+          {injector.sender_key(0, static_cast<std::uint64_t>(call), from, 0),
+           from, to, 0});
+      bytes.push_back(static_cast<std::uint8_t>(verdict.loss));
       bytes.push_back(verdict.duplicated ? 1 : 0);
       util::put_u32(bytes, verdict.delay);
     } else if (action < 90) {
@@ -228,10 +349,10 @@ TEST(FaultInjectorPins, VerdictStreamIsPinned) {
   FaultPlan duplicates;
   duplicates.drop = 0.02;
   duplicates.duplicate = 0.3;
-  EXPECT_EQ(verdict_stream(drop_only, 101), 0xb5dd10f05b8640d8ULL);
-  EXPECT_EQ(verdict_stream(links, 202), 0x55da8b393f1d6872ULL);
-  EXPECT_EQ(verdict_stream(full, 303), 0x988e5c831154c92cULL);
-  EXPECT_EQ(verdict_stream(duplicates, 404), 0x36432ee7bf9c6425ULL);
+  EXPECT_EQ(verdict_stream(drop_only, 101), 0x592b3e5d7acb042cULL);
+  EXPECT_EQ(verdict_stream(links, 202), 0xa279037782147affULL);
+  EXPECT_EQ(verdict_stream(full, 303), 0x432bc27110f2ca87ULL);
+  EXPECT_EQ(verdict_stream(duplicates, 404), 0xb686cd69357eeb7cULL);
 }
 
 // --- scenario format -------------------------------------------------------

@@ -374,7 +374,8 @@ MetricDeltas metric_deltas(const MetricMark& before) {
 // holder marks: the outcome hash and the sim.engine.rounds/events counters
 // of two faulted 4k-peer kSharded runs, which must not depend on the
 // thread or shard count.  The metric deltas were pinned later, before
-// settled messages left the order log.
+// settled messages left the order log.  Every value was re-recorded once
+// when a forward's fault verdict became a hash of its key (docs/FAULTS.md).
 
 ScaleConfig golden_config(bool retries) {
   ScaleConfig config;
@@ -440,18 +441,18 @@ void expect_golden(const ScaleConfig& config, const GoldenRun& golden) {
 
 TEST(SimEngineGolden, FaultedChurnRunIsPinned) {
   expect_golden(golden_config(false),
-                {0x8d31fbac9547a202ULL,
-                 1435,
-                 1629423,
-                 {0xef5f5c39b88bc43eULL, {85619, 718, 0, 9831, 0, 0, 0, 0}}});
+                {0x0cd71f0d40f60b0cULL,
+                 1425,
+                 1617920,
+                 {0x1145eeea6d81064cULL, {85414, 723, 0, 9648, 0, 0, 0, 0}}});
 }
 
 TEST(SimEngineGolden, FaultedChurnRunWithRetriesIsPinned) {
   expect_golden(golden_config(true),
-                {0x306d53a31a1b29b8ULL,
+                {0x6834efc5dfb0c80aULL,
                  1400,
-                 1609330,
-                 {0x28d1b68d572e941bULL, {84581, 693, 0, 9796, 0, 0, 0, 0}}});
+                 1595231,
+                 {0x010502d1da7c395dULL, {84159, 721, 0, 9512, 0, 0, 0, 0}}});
 }
 
 // --- golden: final hops under every fault ------------------------------
@@ -463,7 +464,8 @@ TEST(SimEngineGolden, FaultedChurnRunWithRetriesIsPinned) {
 // batch reaches the ladder's final flood.  Churn runs between the batches,
 // and an expanding-ring batch ends the run (its ring-1 pass makes every hop
 // final).  Pinned: the outcome bytes, the sim.engine.rounds/events counters,
-// every peer's RuleSet::save bytes and the run's metric deltas.
+// every peer's RuleSet::save bytes and the run's metric deltas, re-recorded
+// once when a forward's fault verdict became a hash of its key.
 
 struct FinalHopRun {
   std::uint64_t outcomes = 0;
@@ -553,14 +555,14 @@ TEST(SimEngineGolden, FinalHopsUnderFaultsArePinned) {
       SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
                    std::to_string(shards));
       const FinalHopRun run = final_hop_run(threads, shards);
-      EXPECT_EQ(run.outcomes, 0x1467cf25eb50d3fdULL);
-      EXPECT_EQ(run.rules, 0x6396cf9c2b2411a3ULL);
+      EXPECT_EQ(run.outcomes, 0xce9c9b9adf3fd502ULL);
+      EXPECT_EQ(run.rules, 0x26af2b6ff87a0726ULL);
 #ifndef AAR_OBS_OFF
-      EXPECT_EQ(run.rounds, 8967u);
-      EXPECT_EQ(run.events, 320740u);
-      EXPECT_EQ(run.metrics.frontier, 0xfb38503533253f8dULL);
+      EXPECT_EQ(run.rounds, 8951u);
+      EXPECT_EQ(run.events, 315763u);
+      EXPECT_EQ(run.metrics.frontier, 0x522e7e85f3aff217ULL);
       EXPECT_EQ(run.metrics.faults,
-                (FaultCounts{13597, 291, 0, 2950, 0, 16618, 397272, 0}));
+                (FaultCounts{13629, 308, 0, 2895, 0, 16330, 390839, 0}));
 #endif
     }
   }
@@ -622,7 +624,8 @@ TEST(SimEngineGolden, RandomKAssociationIsPinned) {
 // and those hops must touch none of its per-slot state.  Every run uses a
 // fresh engine, so no earlier, longer pass has sized the calendar past the
 // budget.  Digests recorded on the code that pushed every final hop
-// through send().
+// through send(); the faulted two re-recorded once when a forward's fault
+// verdict became a hash of its key.
 
 std::uint64_t budget_edge_run(std::uint32_t ttl, std::uint32_t timeout,
                               bool faulted, std::size_t threads) {
@@ -666,8 +669,8 @@ TEST(SimEngine, FinalHopsPastTheBudgetArePinned) {
   constexpr Case kCases[] = {
       {2, 1, false, 0x8d8b6f89c0276331ULL},
       {4, 3, false, 0x6d4f2fe192378db1ULL},
-      {2, 1, true, 0xb153573d008ee551ULL},
-      {4, 3, true, 0xf74c64a394eedd82ULL},
+      {2, 1, true, 0x4dd6cf6638fbd93aULL},
+      {4, 3, true, 0x8ec340429b075ba9ULL},
   };
   for (const Case& c : kCases) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {

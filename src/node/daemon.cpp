@@ -211,8 +211,10 @@ void Daemon::run() {
   }
   for (auto& shard : shards_) shard->request_stop();
   for (auto& shard : shards_) shard->join();
-  // Shards are quiesced, so this checkpoint captures the final window —
-  // the restart test compares rule bytes across exactly this boundary.
+  // Shards are quiesced: merge the pairs they mined since the last rebuild,
+  // so this checkpoint captures the whole final window — the restart test
+  // compares rule bytes across exactly this boundary.
+  shared_.hub->merge_pending(shared_.windows, *shared_.peers.list());
   checkpoint();
   sync_metrics();
 }

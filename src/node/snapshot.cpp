@@ -90,6 +90,12 @@ void MiningHub::merge(std::vector<ShardWindow>& windows,
   publish_locked();
 }
 
+void MiningHub::merge_pending(std::vector<ShardWindow>& windows,
+                              const PeerList& live) {
+  if (since_merge_.load(std::memory_order_acquire) == 0) return;
+  merge(windows, live);
+}
+
 void MiningHub::purge(NeighborId host) {
   std::lock_guard<std::mutex> lock(mu_);
   miner_.purge_host(host);

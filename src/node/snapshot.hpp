@@ -175,6 +175,9 @@ class MiningHub {
   /// (capture time, GUID), add them to the miner (evicting its oldest
   /// pairs), snapshot, publish.
   void merge(std::vector<ShardWindow>& windows, const PeerList& live);
+  /// merge() when pairs were noted since the last one: the shutdown path,
+  /// so the final checkpoint holds the pairs mined since the last rebuild.
+  void merge_pending(std::vector<ShardWindow>& windows, const PeerList& live);
 
   /// Disconnect purge: drop `host`'s pairs from the miner and republish —
   /// the next published snapshot never routes at the dead peer, and no

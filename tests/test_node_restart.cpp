@@ -247,6 +247,25 @@ TEST(NodeRestart, WarmRestartKeepsItsWindowAcrossTheNextRebuild) {
   EXPECT_EQ(rules, expected.str());
 }
 
+TEST(NodeRestart, ShutdownCheckpointKeepsPairsMinedSinceTheLastRebuild) {
+  // 100 lockstep pairs at rebuild_every 16: six rebuilds merge 96 of them
+  // and four wait in the shards' windows when the daemon stops.  The final
+  // checkpoint must hold all 100, and a restart must restore all 100.
+  ScopedTempDir tmp("aar_node_pending");
+  const std::string state_dir = tmp.path("state");
+  {
+    RestartHarness harness(state_config(state_dir));
+    harness.connect(4);
+    drive_workload(harness, 100, 8, 4);
+    harness.shutdown();  // connections still open: no purge
+  }
+  EXPECT_EQ(store::Reader(state_dir + "/window.aartr").read_all_pairs().size(),
+            100u);
+  RestartHarness harness(state_config(state_dir));
+  EXPECT_EQ(harness.daemon->stats().restored_pairs, 100u);
+  harness.shutdown();
+}
+
 TEST(NodeRestart, ColdRestartStartsEmptyAndRelearns) {
   ScopedTempDir tmp("aar_node_cold");
 

@@ -102,6 +102,14 @@ class FlatCountMap {
   /// Slots allocated (zero or a power of two); never shrinks.
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
+  /// Size the slot array for `entries` entries at most 3/4 full, so that
+  /// many inserts never rehash.
+  void reserve(std::size_t entries) {
+    std::size_t wanted = std::max<std::size_t>(16, capacity());
+    while (wanted * 3 < entries * 4) wanted *= 2;
+    if (wanted > capacity()) rehash_to(wanted);
+  }
+
   /// Erase every entry but keep the slot array for reuse.
   void clear() noexcept {
     for (Slot& slot : slots_) {
@@ -152,12 +160,16 @@ class FlatCountMap {
     return static_cast<std::size_t>((x * 0x9E3779B97F4A7C15ull) >> 32);
   }
 
-  /// Re-seat every live entry.  Doubles when the live load justifies it,
-  /// otherwise rebuilds at the same capacity to shed tombstones.
+  /// Doubles when the live load justifies it, otherwise rebuilds at the
+  /// same capacity to shed tombstones.
   void rehash() {
     const std::size_t grown =
         (size_ + 1) * 2 > capacity() ? capacity() * 2 : capacity();
-    std::vector<Slot> fresh(std::max<std::size_t>(16, grown));
+    rehash_to(std::max<std::size_t>(16, grown));
+  }
+  /// Re-seat every live entry into `slots` slots (a power of two).
+  void rehash_to(std::size_t slots) {
+    std::vector<Slot> fresh(slots);
     const std::size_t mask = fresh.size() - 1;
     for (Slot& slot : slots_) {
       if (slot.state != kFull) continue;

@@ -155,5 +155,23 @@ TEST(FlatCountMap, ClearKeepsCapacityAndRetainCanEmpty) {
   EXPECT_EQ(map.find_or_insert(999), 0u);  // re-inserted fresh
 }
 
+TEST(FlatCountMap, ReserveSizesTheTableOnce) {
+  FlatCountMap<std::uint64_t, std::uint32_t> map;
+  for (std::uint64_t k = 0; k < 10; ++k) map.find_or_insert(k * 977) = 7;
+  map.reserve(1'000);  // keeps what it holds
+  const std::size_t capacity = map.capacity();
+  EXPECT_GE(capacity * 3, 1'000u * 4);
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    const std::uint32_t* value = map.find(k * 977);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, 7u);
+  }
+  for (std::uint64_t k = 10; k < 1'000; ++k) map.find_or_insert(k * 977) = 1;
+  EXPECT_EQ(map.size(), 1'000u);
+  EXPECT_EQ(map.capacity(), capacity);  // no insert rehashed
+  map.reserve(10);  // never shrinks
+  EXPECT_EQ(map.capacity(), capacity);
+}
+
 }  // namespace
 }  // namespace aar::util

@@ -9,6 +9,9 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include <sched.h>
 
 #include "obs/registry.hpp"
 
@@ -28,6 +31,12 @@ constexpr std::uint64_t kPeerSaltBase = 0x100;
 // pool exists: the submit/wait barrier costs more than the work.  Purely a
 // performance knob — parallel and inline rounds produce identical results.
 constexpr std::size_t kParallelWidth = 64;
+
+// How long a worker keeps watching for the next parallel round before it
+// goes back to the pool: plain loads of one cache line, about 0.6 ns each
+// on the reference VM, so some 300 us — longer than the serial phase
+// between two rounds, far shorter than a churn epoch.
+constexpr int kServeSpins = 1 << 19;
 
 /// Fold one finished search into the process-wide overlay.* counters.
 /// Bound once, bumped once per search — nothing obs-related runs per message.
@@ -84,6 +93,8 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   shards_ = config_.shards != 0 ? config_.shards
                                 : std::max<std::size_t>(8, threads_);
   shards_ = std::clamp<std::size_t>(shards_, 1, std::max<std::size_t>(1, n));
+  // A round's shard count and claims must fit claim_word()'s fields.
+  shards_ = std::min<std::size_t>(shards_, kFieldMask / 2);
   // Workers beyond the shard count can never receive work.
   threads_ = std::clamp<std::size_t>(threads_, 1, shards_);
   // The calling thread routes one group of shards itself.
@@ -506,31 +517,109 @@ fault::ForwardVerdict Engine::verdict_of(std::uint64_t now,
 
 void Engine::route_round(std::uint64_t now, const overlay::Query& query,
                          bool force_flood) {
-  // Group g routes shards [g * shards / threads, (g + 1) * shards / threads);
-  // the calling thread takes group 0.
-  const auto route_group = [&](std::size_t g) {
-    for (std::size_t s = g * shards_ / threads_;
-         s < (g + 1) * shards_ / threads_; ++s) {
-      process_shard_round(shard_state_[s], now, query, force_flood);
-    }
-  };
   std::size_t queued = 0;
   for (Shard& shard : shard_state_) queued += shard.queue.at(now).size();
   if (pool_ == nullptr || queued < kParallelWidth) {
-    for (std::size_t g = 0; g < threads_; ++g) route_group(g);
+    for (Shard& shard : shard_state_) {
+      process_shard_round(shard, now, query, force_flood);
+    }
     return;
   }
-  for (std::size_t g = 1; g < threads_; ++g) {
-    pool_->submit([&route_group, g] { route_group(g); });
+  // Shards are claimed one at a time, so the calling thread starts at once
+  // and a worker joins when it is there: a late worker costs no wait, and
+  // the round ends at most one shard after its last claim.  Which thread
+  // routes a shard never shows in the results.
+  job_ = {now, &query, force_flood};
+  routed_.store(0, std::memory_order_relaxed);
+  caller_cpu_.store(sched_getcpu(), std::memory_order_relaxed);
+  claim_.store(claim_word(++round_, shards_), std::memory_order_release);
+  // A worker still serving from an earlier round claims at once; the pool
+  // wakes one only where none is serving.
+  const auto wanted = static_cast<std::uint32_t>(threads_ - 1);
+  for (std::uint32_t w = serving_.load(std::memory_order_acquire); w < wanted;
+       ++w) {
+    serving_.fetch_add(1, std::memory_order_acq_rel);
+    pool_->submit([this] { serve(); });
   }
-  std::exception_ptr error;
-  try {
-    route_group(0);
-  } catch (...) {
-    error = std::current_exception();
+  claim_shards();
+  // What is left is a shard a worker is routing right now: spin on it a
+  // little (a plain load, no pause instruction), then sleep, in case that
+  // worker was preempted.
+  const auto count = static_cast<std::uint32_t>(shards_);
+  for (int spin = 0;
+       spin < 4096 && routed_.load(std::memory_order_acquire) != count;
+       ++spin) {
   }
-  pool_->wait();  // the submitted groups reference this frame
-  if (error != nullptr) std::rethrow_exception(error);
+  if (routed_.load(std::memory_order_acquire) != count) {
+    std::unique_lock lock(wait_mutex_);
+    sleepers_.fetch_add(1);
+    wait_cv_.wait(lock, [&] { return routed_.load() == count; });
+    sleepers_.fetch_sub(1);
+  }
+  if (route_error_ != nullptr) {
+    std::rethrow_exception(std::exchange(route_error_, nullptr));
+  }
+}
+
+namespace {
+
+/// Move the calling thread off `cpu` — the scheduler woke it onto the CPU
+/// of the thread it works beside — and give it back its own CPU mask, so
+/// nothing stays pinned: its next wake-up starts from the new CPU.
+void step_off(int cpu) {
+  cpu_set_t mask;
+  if (cpu < 0 || cpu >= CPU_SETSIZE ||
+      sched_getaffinity(0, sizeof mask, &mask) != 0) {
+    return;
+  }
+  cpu_set_t others = mask;
+  CPU_CLR(static_cast<std::size_t>(cpu), &others);
+  if (CPU_COUNT(&others) == 0) return;
+  (void)sched_setaffinity(0, sizeof others, &others);
+  (void)sched_setaffinity(0, sizeof mask, &mask);
+}
+
+}  // namespace
+
+void Engine::serve() {
+  // Claim the current round's shards, then watch for the next round with a
+  // plain-load spin: a round published while this worker watches starts
+  // here within a cache-line transfer, with no wake-up.  Give up after a
+  // while.  A worker woken onto the CPU of the thread that publishes rounds
+  // would only take turns with it there: it steps off that CPU first.
+  const int caller = caller_cpu_.load(std::memory_order_relaxed);
+  if (sched_getcpu() == caller) step_off(caller);
+  for (;;) {
+    // Read the round before claiming: one published meanwhile is seen.
+    const std::uint64_t seen = claim_.load(std::memory_order_acquire) >> 40;
+    claim_shards();
+    bool next = false;
+    for (int spin = 0; spin < kServeSpins && !next; ++spin) {
+      next = (claim_.load(std::memory_order_acquire) >> 40) != seen;
+    }
+    if (!next) break;
+  }
+  serving_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void Engine::claim_shards() {
+  for (;;) {
+    const std::uint64_t word = claim_.fetch_add(1, std::memory_order_acquire);
+    const auto s = static_cast<std::uint32_t>(word & kFieldMask);
+    if (s >= ((word >> 20) & kFieldMask)) return;
+    try {
+      process_shard_round(shard_state_[s], job_.now, *job_.query,
+                          job_.force_flood);
+    } catch (...) {
+      const std::lock_guard lock(error_mutex_);
+      if (route_error_ == nullptr) route_error_ = std::current_exception();
+    }
+    routed_.fetch_add(1);
+    if (sleepers_.load() != 0) {
+      const std::lock_guard lock(wait_mutex_);
+      wait_cv_.notify_all();
+    }
+  }
 }
 
 void Engine::apply_round(std::uint64_t now, const overlay::Query& query,

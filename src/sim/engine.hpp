@@ -17,11 +17,16 @@
 //   * one virtual-time round = a PARALLEL phase (each shard scans its slot
 //     and computes the pure per-peer work: duplicate suppression, the hit
 //     check against the pass's holder marks, policy routing into per-shard
-//     emission buffers) followed by a SERIAL apply phase that replays the
+//     emission buffers, and each emitted hop's fault verdict and hit mark
+//     as a HopFact byte) followed by a SERIAL apply phase that replays the
 //     per-shard results in canonical order — the slot's push-order log
 //     names the shard of each event — and performs everything
-//     order-sensitive: fault rng draws, reply delivery and learning,
+//     order-sensitive: first-visit marks, reply delivery and learning,
 //     message accounting, budget checks, and scheduling of the next hop;
+//   * the calling thread and the pool's workers claim a parallel round's
+//     shards one at a time; a worker keeps watching for the next round for
+//     a while before it goes back to the pool, so most rounds start with
+//     no wake-up;
 //   * a final hop (TTL 0) due next round that is its recipient's first
 //     visit is settled when sent, in one loop over its sender's targets: it
 //     never enters a queue, and only a hit keeps an entry in the log,
@@ -47,8 +52,12 @@
 // differential suites hold the kLegacy construction mode to the reference
 // outcomes bit for bit.
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <span>
 #include <vector>
@@ -261,6 +270,21 @@ class Engine {
                        std::uint64_t budget);
   void route_round(std::uint64_t now, const overlay::Query& query,
                    bool force_flood);
+  /// Route shards of the current parallel round, one claim at a time,
+  /// until none is left.  The calling thread and the pool's workers all run
+  /// it; a claim always names a shard of the round then current.
+  void claim_shards();
+  /// A pool worker's task: claim shards of this round and of the rounds that
+  /// follow while they come soon enough (see kServeSpins in engine.cpp).
+  void serve();
+  /// The claim word: round << 40 | shards << 20 | next shard.  A claim is a
+  /// fetch_add on it, so a shard index always comes with its own round's
+  /// shard count.
+  static constexpr std::uint64_t kFieldMask = (1u << 20) - 1;
+  [[nodiscard]] static std::uint64_t claim_word(std::uint64_t round,
+                                                std::uint64_t shards) noexcept {
+    return (round << 40) | (shards << 20);
+  }
   void process_shard_round(Shard& shard, std::uint64_t now,
                            const overlay::Query& query, bool force_flood);
   void apply_round(std::uint64_t now, const overlay::Query& query,
@@ -381,7 +405,27 @@ class Engine {
   ShardQueue settled_hits_;                    ///< kSettledHit events, per slot
   std::vector<std::size_t> cursor_;            ///< apply-phase shard cursors
   std::vector<NodeId> probe_scratch_;
-  std::unique_ptr<util::ThreadPool> pool_;     ///< null when threads_ == 1
+  /// The parallel round being routed: what claim_shards() needs, written
+  /// before `claim_` is published and read after a shard is claimed.
+  struct RouteJob {
+    std::uint64_t now = 0;
+    const overlay::Query* query = nullptr;
+    bool force_flood = false;
+  };
+  RouteJob job_;
+  std::uint64_t round_ = 0;                   ///< parallel rounds published
+  std::atomic<std::uint64_t> claim_{0};       ///< see claim_word()
+  std::atomic<std::uint32_t> routed_{0};      ///< shards routed this round
+  std::atomic<std::uint32_t> serving_{0};     ///< workers running serve()
+  std::atomic<int> caller_cpu_{-1};  ///< CPU of the thread publishing rounds
+  std::atomic<std::uint32_t> sleepers_{0};    ///< threads asleep for routed_
+  std::mutex wait_mutex_;
+  std::condition_variable wait_cv_;
+  std::mutex error_mutex_;
+  std::exception_ptr route_error_;  ///< first exception a claimed shard threw
+  /// Null when threads_ == 1.  Declared after the claim state, so it is
+  /// destroyed first: a worker still serving finds that state alive.
+  std::unique_ptr<util::ThreadPool> pool_;
   obs::Timer* route_timer_ = nullptr;          ///< set with engine_metrics
   obs::Timer* apply_timer_ = nullptr;
 };

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   std::cout << "node " << busiest << " (degree "
             << assoc_net.graph().degree(busiest) << ") mined "
             << policy.rules().num_rules() << " rules; it rule-routed "
-            << policy.rule_hits() << " queries and flooded " << policy.floods()
-            << ".\nsample of its routing table:\n";
+            << policy.rule_hits()
+            << " queries.\nsample of its routing table:\n";
   std::size_t shown = 0;
   policy.rules().for_each([&](core::HostId antecedent,
                               std::span<const core::Consequent> consequents) {

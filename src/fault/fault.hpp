@@ -27,6 +27,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,36 @@ class FaultInjector {
     if ((draw(key, 0) >> 11) < drop_below_) verdict.loss = Loss::dropped;
     return verdict;
   }
+  /// on_forward for every hop one sender sends: `fn(i, verdict)` for each
+  /// of `to`, in order, keyed {sender, from, to[i], i}.  The sender's part
+  /// of the plain-hop test is made once, so a plain hop costs one state
+  /// load and one hash.
+  template <typename Fn>
+  void on_forwards(std::uint64_t sender, NodeId from,
+                   std::span<const NodeId> to, Fn&& fn) const {
+    const auto key = [&](std::size_t i) {
+      return ForwardKey{sender, from, to[i], static_cast<std::uint32_t>(i)};
+    };
+    if (!plain_plan_ || partitioned_ || !plain_peer(from)) {
+      for (std::size_t i = 0; i < to.size(); ++i) {
+        fn(i, forward_verdict(key(i)));
+      }
+      return;
+    }
+    // Locals: a byte store in `fn` may alias any member.
+    const PeerState* const states = states_.data();
+    const std::size_t known = states_.size();
+    const std::uint64_t drop_below = drop_below_;
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      if (to[i] < known && !plain_state(states[to[i]])) {
+        fn(i, forward_verdict(key(i)));
+        continue;
+      }
+      ForwardVerdict verdict;
+      if ((draw(key(i), 0) >> 11) < drop_below) verdict.loss = Loss::dropped;
+      fn(i, verdict);
+    }
+  }
   /// Fold counted forward verdicts into the fault.* counters.
   void record(const ForwardTally& tally);
   /// True when a reply hop `from -> to` is lost in transit.
@@ -262,9 +293,11 @@ class FaultInjector {
 
  private:
   /// Neither crashed nor slow: the peer adds no rule to a forward's verdict.
-  [[nodiscard]] bool plain_peer(NodeId node) const {
-    const PeerState s = state(node);
+  [[nodiscard]] static bool plain_state(PeerState s) noexcept {
     return s == PeerState::healthy || s == PeerState::free_riding;
+  }
+  [[nodiscard]] bool plain_peer(NodeId node) const {
+    return plain_state(state(node));
   }
   /// The hop's `n`-th 64-bit draw (0 drop, 1 duplicate, 2 delay): its key
   /// hashed, then stepped as a splitmix64 stream from there.

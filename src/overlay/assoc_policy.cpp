@@ -32,7 +32,6 @@ bool AssociationRoutingPolicy::route(const Query& query, NodeId self,
       return true;
     }
   }
-  ++floods_;
   for (NodeId neighbor : neighbors) {
     if (neighbor != from) out.push_back(neighbor);
   }

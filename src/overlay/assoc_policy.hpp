@@ -57,6 +57,10 @@ class AssociationRoutingPolicy final : public RoutingPolicy {
   /// A reply path's (upstream, downstream) pair names the peer itself or
   /// two of its neighbours.
   [[nodiscard]] bool learns_only_neighbors() const override { return true; }
+  /// No rule yet: every query floods.
+  [[nodiscard]] bool floods_all() const override {
+    return miner_.ruleset().empty();
+  }
 
   /// The rule set of the most recent snapshot (refreshed every
   /// `rebuild_every` observations) — what route() forwards against.
@@ -68,7 +72,6 @@ class AssociationRoutingPolicy final : public RoutingPolicy {
     return miner_;
   }
   [[nodiscard]] std::uint64_t rule_hits() const noexcept { return rule_hits_; }
-  [[nodiscard]] std::uint64_t floods() const noexcept { return floods_; }
 
  private:
   AssociationPolicyConfig config_;
@@ -76,7 +79,6 @@ class AssociationRoutingPolicy final : public RoutingPolicy {
   mining::IncrementalRuleMiner miner_;
   std::size_t observations_since_rebuild_ = 0;
   std::uint64_t rule_hits_ = 0;
-  std::uint64_t floods_ = 0;
 };
 
 }  // namespace aar::overlay

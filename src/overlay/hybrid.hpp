@@ -30,6 +30,9 @@ class HybridShortcutsAssociationPolicy final : public RoutingPolicy {
     return "shortcuts+association";
   }
   [[nodiscard]] bool wants_flood_fallback() const override { return true; }
+  [[nodiscard]] bool floods_all() const override {
+    return association_.floods_all();
+  }
 
   bool route(const Query& query, NodeId self, NodeId from,
              std::span<const NodeId> neighbors, util::Rng& rng,

@@ -93,6 +93,13 @@ class RoutingPolicy {
   /// True when the policy forwards through already-visited nodes (random
   /// walks walk; flooding-style policies are duplicate-suppressed).
   [[nodiscard]] virtual bool allows_revisit() const { return false; }
+
+  /// True while route() would forward any query to every neighbour except
+  /// `from`, undirected, without drawing from its rng or changing any
+  /// state.  The simulator then floods for the policy without calling
+  /// route(), and asks again after every other hook.  Default false, the
+  /// safe answer.
+  [[nodiscard]] virtual bool floods_all() const { return false; }
 };
 
 using PolicyFactory =
@@ -103,6 +110,7 @@ class FloodingPolicy final : public RoutingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "flooding"; }
   [[nodiscard]] bool learns_only_neighbors() const override { return true; }
+  [[nodiscard]] bool floods_all() const override { return true; }
   bool route(const Query& query, NodeId self, NodeId from,
              std::span<const NodeId> neighbors, util::Rng& rng,
              std::vector<NodeId>& out) override {

@@ -125,6 +125,7 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   // Policies are made after the stores; factories take no rng, so the order
   // does not touch the workload stream.
   policies_.resize(n);
+  floods_.assign(n, 0);
   for (NodeId node = 0; node < n; ++node) install_policy(node, factory_(node));
 }
 
@@ -257,6 +258,7 @@ std::span<const NodeId> Engine::routing_neighbors(NodeId node) {
 
 overlay::RoutingPolicy& Engine::policy(NodeId node) {
   check_node(node);
+  floods_unread_ = true;  // the caller may change what floods_all() says
   return *policies_[node];
 }
 
@@ -285,6 +287,7 @@ void Engine::install_policy(NodeId node,
     learns_any_.insert(at, node);
   }
   policies_[node] = std::move(policy);
+  mark_flood(node);
 }
 
 void Engine::replace_peer(NodeId node, std::size_t attach) {
@@ -338,7 +341,9 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
   std::set_union(orphaned.begin(), orphaned.end(), learns_any_.begin(),
                  learns_any_.end(), std::back_inserter(purge_scratch_));
   for (const NodeId peer : purge_scratch_) {
-    if (peer != node) policies_[peer]->on_peer_departed(node);
+    if (peer == node) continue;
+    policies_[peer]->on_peer_departed(node);
+    mark_flood(peer);
   }
   // The replacement joins healthy regardless of its predecessor's state.
   if (faults_ != nullptr) faults_->on_peer_replaced(node);
@@ -387,6 +392,7 @@ Engine::ReplyResult Engine::deliver_reply(const overlay::Query& query,
     }
     const NodeId upstream = node == query.origin ? node : parent_[node];
     policies_[node]->on_reply_path(query, node, upstream, downstream);
+    mark_flood(node);
     downstream = node;
     node = upstream;
   }
@@ -438,7 +444,9 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
     // targets are the tail from emit_offset on.
     r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
     bool directed = false;
-    if (force_flood) {
+    if (force_flood || floods_[ev.node] != 0) {
+      // A forced flood, or a policy whose route() would flood the same way
+      // (floods_all): its object is not touched.
       for (NodeId neighbor : neighbors(ev.node)) {
         if (neighbor != ev.from) shard.emissions.push_back(neighbor);
       }
@@ -487,22 +495,21 @@ void Engine::judge_hops(std::uint64_t now, const QueryEvent& ev,
     }
     return;
   }
-  const std::uint64_t sender = faults->sender_key(pass_, now, ev.node, copy);
   fault::ForwardTally judged;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId target = targets[i];
-    const fault::ForwardVerdict verdict = faults->on_forward(
-        {sender, ev.node, target, static_cast<std::uint32_t>(i)});
-    judged.add(verdict);
-    std::uint8_t fact = verdict.dropped() ? HopFact::kDropped
-                        : verdict.plain() ? HopFact::kPlain
-                                          : 0;
-    if (final_sender && holder[target] == stamp &&
-        faults->shares_content(target)) {
-      fact |= HopFact::kServes;
-    }
-    facts[i] = fact;
-  }
+  faults->on_forwards(
+      faults->sender_key(pass_, now, ev.node, copy), ev.node, targets,
+      [&](std::size_t i, const fault::ForwardVerdict& verdict) {
+        judged.add(verdict);
+        const NodeId target = targets[i];
+        std::uint8_t fact = verdict.dropped() ? HopFact::kDropped
+                            : verdict.plain() ? HopFact::kPlain
+                                              : 0;
+        if (final_sender && holder[target] == stamp &&
+            faults->shares_content(target)) {
+          fact |= HopFact::kServes;
+        }
+        facts[i] = fact;
+      });
   tally += judged;
 }
 
@@ -818,6 +825,10 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
                                      std::uint64_t budget) {
   next_stamp();
   refresh_adjacency();
+  if (floods_unread_) {
+    for (NodeId node = 0; node < num_nodes(); ++node) mark_flood(node);
+    floods_unread_ = false;
+  }
   PassState st;
   st.budget = budget;
   // Chosen once per pass: a forced flood never revisits.
@@ -937,6 +948,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
   // Phase A: direct shortcut probes, if the origin's policy keeps any.
   probe_scratch_.clear();
   policies_[origin]->probe_candidates(query, origin, probe_scratch_);
+  mark_flood(origin);
   for (NodeId candidate : probe_scratch_) {
     outcome.probe_messages += 2;  // request + response
     if (candidate < num_nodes() && store_has(candidate, target)) {
@@ -948,6 +960,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
       outcome.replicas_found = 1;
       outcome.rule_routed = true;
       policies_[origin]->on_search_result(query, origin, true, candidate);
+      mark_flood(origin);
       record(outcome);
       return outcome;
     }
@@ -1071,6 +1084,7 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
   outcome.elapsed_stamps = now;
   outcome.timed_out = !outcome.hit && budget_exhausted;
   policies_[origin]->on_search_result(query, origin, outcome.hit, server);
+  mark_flood(origin);
   record(outcome);
   return outcome;
 }

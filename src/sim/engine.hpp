@@ -161,8 +161,9 @@ class Engine {
   bool add_link(NodeId a, NodeId b);
 
   /// A peer's routing policy, and its replacement (adoption sweeps, A/B
-  /// tests).  set_policy throws std::invalid_argument on null and keeps the
-  /// old policy.
+  /// tests).  The next pass sees what a caller changed through policy().
+  /// set_policy throws std::invalid_argument on null and keeps the old
+  /// policy.
   [[nodiscard]] overlay::RoutingPolicy& policy(NodeId node);
   void set_policy(NodeId node, std::unique_ptr<overlay::RoutingPolicy> policy);
 
@@ -245,10 +246,14 @@ class Engine {
   }
 
   void check_node(NodeId node) const;
-  /// Install `node`'s policy and keep the revisit count and the learns-any
-  /// list in step.  Throws std::invalid_argument on null.
+  /// Install `node`'s policy and keep the revisit count, the learns-any
+  /// list and its flood mark in step.  Throws std::invalid_argument on null.
   void install_policy(NodeId node,
                       std::unique_ptr<overlay::RoutingPolicy> policy);
+  /// Re-read `node`'s floods_all() after a hook that may have changed it.
+  void mark_flood(NodeId node) {
+    floods_[node] = policies_[node]->floods_all() ? 1 : 0;
+  }
   void build_peers_legacy();
   void build_peers_sharded();
   void write_row(NodeId node, const workload::LocalStore& store);
@@ -376,6 +381,12 @@ class Engine {
   overlay::PolicyFactory factory_;
   std::vector<std::unique_ptr<overlay::RoutingPolicy>> policies_;
   std::size_t revisiting_ = 0;  ///< peers whose policy allows_revisit()
+  /// Per peer, its policy's floods_all(): the route phase floods for it
+  /// without calling route().
+  std::vector<std::uint8_t> floods_;
+  /// policy() handed a policy out since the marks were last read: the next
+  /// pass reads every mark again.
+  bool floods_unread_ = false;
   /// Peers whose policy can learn any id (!learns_only_neighbors()), sorted.
   std::vector<NodeId> learns_any_;
   std::vector<NodeId> purge_scratch_;

@@ -44,7 +44,7 @@ TEST(AssociationPolicy, FloodsBeforeAnyRulesExist) {
   const bool directed = policy.route(make_query(), 0, 2, neighbors, rng, out);
   EXPECT_FALSE(directed);
   EXPECT_EQ(out, (std::vector<NodeId>{1, 3}));  // all except `from`
-  EXPECT_EQ(policy.floods(), 1u);
+  EXPECT_TRUE(policy.floods_all());
 }
 
 TEST(AssociationPolicy, LearnsRuleAndRoutesToIt) {
@@ -60,6 +60,7 @@ TEST(AssociationPolicy, LearnsRuleAndRoutesToIt) {
     policy.on_reply_path(q, /*self=*/0, /*upstream=*/7, /*downstream=*/3);
   }
   EXPECT_TRUE(policy.rules().covers(7));
+  EXPECT_FALSE(policy.floods_all());
   std::vector<NodeId> out;
   const std::vector<NodeId> neighbors{1, 3, 7, 9};
   const bool directed = policy.route(make_query(), 0, 7, neighbors, rng, out);
@@ -145,7 +146,6 @@ TEST(AssociationPolicy, RouteAppendsAfterExistingEntries) {
   // No rule for antecedent 8: flood.
   expect_appends_after_existing(policy, 8, {1, 3, 8, 9});
   EXPECT_EQ(policy.rule_hits(), 2u);
-  EXPECT_EQ(policy.floods(), 4u);
 }
 
 TEST(AssociationPolicy, WantsFloodFallback) {

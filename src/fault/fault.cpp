@@ -91,7 +91,7 @@ FaultInjector::FaultInjector(FaultPlan plan, FaultSchedule schedule,
       states_(nodes, PeerState::healthy),
       rng_(fault_stream(fault_seed, 0)) {
   for (const FaultPlan::PeerOverride& peer : plan_.peers) {
-    if (peer.node < states_.size()) states_[peer.node] = peer.state;
+    set_state(peer.node, peer.state);
   }
 }
 
@@ -126,7 +126,10 @@ void FaultInjector::begin_search(std::uint64_t clock) {
 }
 
 void FaultInjector::set_state(NodeId node, PeerState state) {
-  if (node < states_.size()) states_[node] = state;
+  if (node >= states_.size()) return;
+  slow_peers_ -= states_[node] == PeerState::slow ? 1u : 0u;
+  slow_peers_ += state == PeerState::slow ? 1u : 0u;
+  states_[node] = state;
 }
 
 void FaultInjector::partition(NodeId pivot) {

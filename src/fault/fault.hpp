@@ -272,6 +272,11 @@ class FaultInjector {
     return s == PeerState::healthy || s == PeerState::slow;
   }
   void set_state(NodeId node, PeerState state);
+  /// True when some forward may arrive late: the plan delays hops, or a
+  /// peer is slow.  Changes only with the peer states.
+  [[nodiscard]] bool may_delay() const noexcept {
+    return plan_.max_delay > 0 || (plan_.slow_extra > 0 && slow_peers_ > 0);
+  }
 
   void partition(NodeId pivot);
   void heal_partition();
@@ -329,6 +334,7 @@ class FaultInjector {
   std::vector<FaultEvent> events_;  ///< sorted by `at`
   std::size_t next_event_ = 0;
   std::vector<PeerState> states_;
+  std::size_t slow_peers_ = 0;  ///< peers in states_ that are slow
   util::Rng rng_;
   std::uint64_t clock_ = 0;
   std::uint64_t events_applied_ = 0;

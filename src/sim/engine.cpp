@@ -120,6 +120,7 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   }
   build_holder_index();
   queued_.assign(n, 0);
+  reached_bits_.assign((n + 63) / 64, 0);
   holder_stamp_.assign(n, 0);
   parent_.assign(n, overlay::kNoNode);
   // Policies are made after the stores; factories take no rng, so the order
@@ -414,10 +415,11 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
                                  const overlay::Query& query,
                                  bool force_flood) {
   // PARALLEL phase: pure per-peer work for this shard's slot.  Writes touch
-  // only state owned by this shard's peers (parent is indexed by the
-  // event's node, and shard_of(node) routed the event here) plus the
-  // shard-local results/emissions buffers.  No rng, no metrics, no
-  // cross-peer mutation — all of that happens in the serial apply phase.
+  // only the shard-local results/emissions buffers; per-peer arrays are
+  // only read, and none of them is written before the serial phase (which
+  // also records the reverse-path parent): a line the other thread wrote
+  // last would be pulled across, one random line per event.  No rng, no
+  // metrics, no cross-peer mutation.
   shard.results.clear();
   shard.emissions.clear();
   shard.facts.clear();
@@ -425,10 +427,13 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
   for (const QueryEvent& ev : shard.queue.at(now)) {
     EventResult r;
     // Only the peer's earliest queued message, due now, is a first visit.
-    const bool first_visit = queued_[ev.node] == first_mark;
+    // A later push to an earlier slot can overtake a queued message only
+    // if that message was delayed: until some hop of the pass is, every
+    // queued message is a first visit, and its mark is not read.
+    const bool first_visit = !delayed_ || queued_[ev.node] == first_mark;
     if (first_visit) {
       r.flags |= EventResult::kFirstVisit;
-      if (visit(ev)) r.flags |= EventResult::kHit;
+      if (serves(ev.node)) r.flags |= EventResult::kHit;
     } else {
       // Duplicate suppressed (no peer revisits in this pass): an
       // earlier-arriving message to this peer was queued after this one.
@@ -652,7 +657,10 @@ void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
     const QueryEvent& ev = shard.queue.at(now)[i];
     const EventResult r = shard.results[i];
 
-    if ((r.flags & EventResult::kFirstVisit) != 0) ++st.pass.nodes_reached;
+    if ((r.flags & EventResult::kFirstVisit) != 0) {
+      ++st.pass.nodes_reached;
+      parent_[ev.node] = ev.from;
+    }
     if ((r.flags & EventResult::kHit) != 0) answer(query, origin, ev, st);
     if ((r.flags & EventResult::kRouted) == 0) continue;
     forward(now, origin, ev, 0,
@@ -760,15 +768,18 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
   // verdicts and the hit marks come from the hops' facts.
   const std::uint64_t next = now + 1;
   const bool late = next > st.budget;
-  std::uint64_t queries = 0;
   std::uint64_t dropped = 0;
   std::uint32_t reached = 0;
   std::uint64_t sent = 0;
   std::uint32_t settled = late ? 0 : settled_[next];
+  // Locals: the loop's stores may alias any member.
+  const bool timed = timed_marks_;
+  std::uint64_t* const marks = queued_.data();
+  std::uint64_t* const bits = reached_bits_.data();
+  const std::uint64_t pass = queue_mark(0);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const NodeId target = targets[i];
     const std::uint8_t fact = facts[i];
-    ++queries;
     if ((fact & HopFact::kDropped) != 0) {
       ++dropped;
       continue;  // sent, lost in transit
@@ -784,11 +795,17 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
       continue;
     }
     ++sent;
-    // First visits and duplicates interleave unpredictably: mark without a
-    // branch, and branch only on a likely hit.
-    const bool first = earliest_push(next, target);
-    reached += first ? 1u : 0u;
-    if (first && (fact & HopFact::kServes) != 0) {
+    const auto claim = [&] {
+      return timed ? claim_mark(marks[target], pass, next)
+                   : claim_bit(bits, target);
+    };
+    // Whether a hop is a first visit is a coin toss to the branch
+    // predictor: only a hop to a peer that serves branches on it.
+    if ((fact & HopFact::kServes) == 0) [[likely]] {
+      reached += claim() ? 1u : 0u;
+      ++settled;
+    } else if (claim()) {
+      ++reached;
       parent_[target] = ev.node;
       settled_hits_.push(next, QueryEvent{target, ev.node, ev.depth + 1, 0});
       order_.push(next, OrderEntry{OrderEntry::kSettledHit, settled});
@@ -797,7 +814,7 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
     }
   }
   if (!late) settled_[next] = settled;
-  st.pass.query_messages += queries;
+  st.pass.query_messages += targets.size();
   st.pass.dropped += dropped;
   st.pass.nodes_reached += reached;
   st.frontier_size += sent;
@@ -806,6 +823,7 @@ void Engine::settle_final_hops(std::uint64_t now, const QueryEvent& ev,
 void Engine::send(std::uint64_t now, const QueryEvent& ev, NodeId target,
                   const fault::ForwardVerdict& verdict, PassState& st) {
   const std::uint64_t arrival = now + 1 + verdict.delay;
+  delayed_ = delayed_ || verdict.delay > 0;
   if (arrival > st.budget) {
     st.pass.truncated = true;  // still in flight when the budget runs out
     return;
@@ -833,6 +851,9 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
   st.budget = budget;
   // Chosen once per pass: a forced flood never revisits.
   revisit_pass_ = !force_flood && revisiting_ > 0;
+  timed_marks_ = faults_ != nullptr && faults_->may_delay();
+  if (!timed_marks_) std::fill(reached_bits_.begin(), reached_bits_.end(), 0);
+  delayed_ = false;
   for (const NodeId holder : holders(query.target)) {
     holder_stamp_[holder] = stamp_;
   }

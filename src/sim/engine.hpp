@@ -336,17 +336,34 @@ class Engine {
   /// and marked so, when none is queued for `slot` or earlier this pass;
   /// false for a duplicate, whatever happens in between.
   bool earliest_push(std::uint64_t slot, NodeId node) {
-    std::uint64_t& queued = queued_[node];
-    const bool earlier = queued - queue_mark(0) <= slot;  // this pass, <= slot
-    queued = earlier ? queued : queue_mark(slot);
-    return !earlier;
+    return timed_marks_ ? claim_mark(queued_[node], queue_mark(0), slot)
+                        : claim_bit(reached_bits_.data(), node);
+  }
+  /// earliest_push on a queued_ mark, `pass` being queue_mark(0).  First
+  /// visits and duplicates interleave unpredictably: no branch.
+  static bool claim_mark(std::uint64_t& mark, std::uint64_t pass,
+                         std::uint64_t slot) noexcept {
+    const std::uint64_t old = mark;
+    const bool first = old - pass > slot;  // none this pass, <= slot
+    const std::uint64_t keep = std::uint64_t{first} - 1;
+    mark = (old & keep) | ((pass | slot) & ~keep);
+    return first;
+  }
+  /// earliest_push where no hop of the pass can be delayed: a peer's first
+  /// push is its earliest whatever slot it names.
+  static bool claim_bit(std::uint64_t* bits, NodeId node) noexcept {
+    std::uint64_t& word = bits[node >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (node & 63);
+    const bool first = (word & bit) == 0;
+    word |= bit;
+    return first;
   }
   /// Does `node` hold the current pass's target and answer queries?
   [[nodiscard]] bool serves(NodeId node) const {
     return holder_stamp_[node] == stamp_ &&
            (faults_ == nullptr || faults_->shares_content(node));
   }
-  /// A first visit's order-free work: record the reverse-path parent and
+  /// A revisiting pass's first visit: record the reverse-path parent and
   /// say whether the peer answers (at most once per pass, so the holder
   /// mark alone decides the hit).
   bool visit(const QueryEvent& ev) {
@@ -409,6 +426,15 @@ class Engine {
   std::size_t shards_ = 1;
   std::size_t threads_ = 1;
   bool revisit_pass_ = false;  ///< the current pass routes serially
+  /// Some hop of the current pass may be delayed, so duplicate suppression
+  /// keeps each peer's earliest slot in queued_; otherwise one bit per peer
+  /// in reached_bits_ (an L1-sized array on a 20k-peer overlay) does.
+  bool timed_marks_ = true;
+  /// Per peer, a message was pushed to it this pass (untimed marks only).
+  std::vector<std::uint64_t> reached_bits_;
+  /// A hop of the current pass was sent with a delay: a queued message may
+  /// since have been overtaken, so the route phase checks first visits.
+  bool delayed_ = false;
   std::vector<Shard> shard_state_;
   SlotOrder order_;                            ///< pushes with work, per slot
   /// Settled messages with no work left, per slot (see OrderEntry).

@@ -451,10 +451,17 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
     bool directed = false;
     if (force_flood || floods_[ev.node] != 0) {
       // A forced flood, or a policy whose route() would flood the same way
-      // (floods_all): its object is not touched.
-      for (NodeId neighbor : neighbors(ev.node)) {
-        if (neighbor != ev.from) shard.emissions.push_back(neighbor);
+      // (floods_all): its object is not touched.  The graph has no
+      // self-loops, so a flood never names the sender.
+      const std::span<const NodeId> row = neighbors(ev.node);
+      shard.emissions.resize(r.emit_offset + row.size());
+      NodeId* out = shard.emissions.data() + r.emit_offset;
+      for (const NodeId neighbor : row) {
+        *out = neighbor;
+        out += neighbor != ev.from ? 1 : 0;
       }
+      shard.emissions.resize(
+          static_cast<std::size_t>(out - shard.emissions.data()));
     } else {
       // No shared rng in the parallel phase: route() gets a throwaway
       // stream split from (guid, self), which keeps any draw (random-k
@@ -463,12 +470,12 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
       directed = policies_[ev.node]->route(query, ev.node, ev.from,
                                            neighbors(ev.node), scratch,
                                            shard.emissions);
+      shard.emissions.erase(
+          std::remove(shard.emissions.begin() + r.emit_offset,
+                      shard.emissions.end(), ev.node),
+          shard.emissions.end());
     }
     if (directed) r.flags |= EventResult::kDirected;
-    shard.emissions.erase(
-        std::remove(shard.emissions.begin() + r.emit_offset,
-                    shard.emissions.end(), ev.node),
-        shard.emissions.end());
     r.emit_count =
         static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
     shard.facts.resize(shard.emissions.size());

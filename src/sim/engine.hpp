@@ -18,11 +18,12 @@
 //     and computes the pure per-peer work: duplicate suppression, the hit
 //     check against the pass's holder marks, policy routing into per-shard
 //     emission buffers, and each emitted hop's fault verdict and hit mark
-//     as a HopFact byte) followed by a SERIAL apply phase that replays the
-//     per-shard results in canonical order — the slot's push-order log
-//     names the shard of each event — and performs everything
-//     order-sensitive: first-visit marks, reply delivery and learning,
-//     message accounting, budget checks, and scheduling of the next hop;
+//     as a HopFact byte; it writes no per-peer array) followed by a SERIAL
+//     apply phase that replays the per-shard results in canonical order —
+//     the slot's push-order log names the shard of each event — and
+//     performs everything order-sensitive: first-visit marks and
+//     reverse-path parents, reply delivery and learning, message
+//     accounting, budget checks, and scheduling of the next hop;
 //   * the calling thread and the pool's workers claim a parallel round's
 //     shards one at a time; a worker keeps watching for the next round for
 //     a while before it goes back to the pool, so most rounds start with

@@ -49,8 +49,8 @@ void Database::import(TraceGenerator& generator, std::size_t pair_target) {
 
 std::uint64_t Database::deduplicate_queries() {
   if (deduplicated_) return 0;
-  // Flat tables: the paper's trace has 11.8M raw queries, and a node per
-  // GUID made this and join() most of `aar_sim generate`'s time.
+  // Flat tables, here and in join(): the paper's trace has 11.8M raw
+  // queries, and a node per GUID would cost most of `aar_sim generate`.
   util::FlatCountMap<Guid, std::uint8_t> seen;
   seen.reserve(queries_.size());
   std::uint64_t removed = 0;

@@ -152,7 +152,7 @@ double FaultInjector::link_drop(NodeId from, NodeId to) const {
   return plan_.drop;
 }
 
-ForwardVerdict FaultInjector::forward_verdict(const ForwardKey& key) const {
+ForwardVerdict FaultInjector::on_forward(const ForwardKey& key) const {
   ForwardVerdict verdict;
   if (severed(key.from, key.to)) {
     verdict.loss = Loss::severed;

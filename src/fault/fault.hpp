@@ -206,26 +206,19 @@ class FaultInjector {
     return util::mix64(h ^ ((std::uint64_t{from} << 32) | copy));
   }
 
-  /// Fault verdict for a query forward.  A pure function of the fault seed,
-  /// the key and the fault state (plan, peer states, partition), which
-  /// change only between searches: it draws from no rng, counts nothing
-  /// (the caller hands what it acted on to record()), and may run on any
-  /// thread.  A plain hop — no partition, a plan with no link overrides,
-  /// duplicates or delay, and neither end crashed or slow — needs only the
-  /// drop draw; every other hop takes the full rules.
-  [[nodiscard]] ForwardVerdict on_forward(const ForwardKey& key) const {
-    if (!plain_plan_ || partitioned_ || !plain_peer(key.from) ||
-        !plain_peer(key.to)) {
-      return forward_verdict(key);
-    }
-    ForwardVerdict verdict;
-    if ((draw(key, 0) >> 11) < drop_below_) verdict.loss = Loss::dropped;
-    return verdict;
-  }
+  /// Fault verdict for a query forward: partitions, crashes, link
+  /// overrides, duplicates, delay and slow peers.  A pure function of the
+  /// fault seed, the key and the fault state (plan, peer states,
+  /// partition), which change only between searches: it draws from no rng,
+  /// counts nothing (the caller hands what it acted on to record()), and
+  /// may run on any thread.
+  [[nodiscard]] ForwardVerdict on_forward(const ForwardKey& key) const;
   /// on_forward for every hop one sender sends: `fn(i, verdict)` for each
-  /// of `to`, in order, keyed {sender, from, to[i], i}.  The sender's part
-  /// of the plain-hop test is made once, so a plain hop costs one state
-  /// load and one hash.
+  /// of `to`, in order, keyed {sender, from, to[i], i}.  A plain hop — no
+  /// partition, a plan with no link overrides, duplicates or delay, and
+  /// neither end crashed or slow — needs only the drop draw: the sender's
+  /// part of that test is made once, and such a hop costs one state load
+  /// and one hash.
   template <typename Fn>
   void on_forwards(std::uint64_t sender, NodeId from,
                    std::span<const NodeId> to, Fn&& fn) const {
@@ -234,7 +227,7 @@ class FaultInjector {
     };
     if (!plain_plan_ || partitioned_ || !plain_peer(from)) {
       for (std::size_t i = 0; i < to.size(); ++i) {
-        fn(i, forward_verdict(key(i)));
+        fn(i, on_forward(key(i)));
       }
       return;
     }
@@ -244,7 +237,7 @@ class FaultInjector {
     const std::uint64_t drop_below = drop_below_;
     for (std::size_t i = 0; i < to.size(); ++i) {
       if (to[i] < known && !plain_state(states[to[i]])) {
-        fn(i, forward_verdict(key(i)));
+        fn(i, on_forward(key(i)));
         continue;
       }
       ForwardVerdict verdict;
@@ -319,9 +312,6 @@ class FaultInjector {
                                    : static_cast<std::uint64_t>(
                                          std::ceil(p * 0x1.0p53));
   }
-  /// on_forward's full rules: partitions, crashes, link overrides,
-  /// duplicates, delay and slow peers.
-  [[nodiscard]] ForwardVerdict forward_verdict(const ForwardKey& key) const;
   [[nodiscard]] double link_drop(NodeId from, NodeId to) const;
   void apply(const FaultEvent& event);
 

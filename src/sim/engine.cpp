@@ -415,10 +415,9 @@ void Engine::process_shard_round(Shard& shard, std::uint64_t now,
                                  const overlay::Query& query,
                                  bool force_flood) {
   // PARALLEL phase: pure per-peer work for this shard's slot.  Writes touch
-  // only the shard-local results/emissions buffers; per-peer arrays are
-  // only read, and none of them is written before the serial phase (which
-  // also records the reverse-path parent): a line the other thread wrote
-  // last would be pulled across, one random line per event.  No rng, no
+  // only the shard-local buffers.  No per-peer array is written here (the
+  // serial phase records the reverse-path parent): a line another thread
+  // wrote last is pulled across, one random line per event.  No rng, no
   // metrics, no cross-peer mutation.
   shard.results.clear();
   shard.emissions.clear();
@@ -700,7 +699,9 @@ void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
     if (queued_[ev.node] < queue_mark(0)) {  // first visit this pass
       queued_[ev.node] = queue_mark(now);
       ++st.pass.nodes_reached;
-      if (visit(ev)) answer(query, origin, ev, st);
+      parent_[ev.node] = ev.from;
+      // At most once per pass, so the holder mark alone decides the hit.
+      if (serves(ev.node)) answer(query, origin, ev, st);
     } else if (!revisits) {
       continue;  // duplicate suppressed
     }

@@ -364,13 +364,6 @@ class Engine {
     return holder_stamp_[node] == stamp_ &&
            (faults_ == nullptr || faults_->shares_content(node));
   }
-  /// A revisiting pass's first visit: record the reverse-path parent and
-  /// say whether the peer answers (at most once per pass, so the holder
-  /// mark alone decides the hit).
-  bool visit(const QueryEvent& ev) {
-    parent_[ev.node] = ev.from;
-    return serves(ev.node);
-  }
   ReplyResult deliver_reply(const overlay::Query& query, NodeId server);
   void next_stamp();
   [[nodiscard]] std::uint64_t queue_mark(std::uint64_t slot) const noexcept {

@@ -3,8 +3,8 @@
 // The paper reports "rule set generation required no more than a few
 // seconds" on its PHP/MySQL pipeline and 45-minute full simulations.  These
 // benches document the native-code costs: rule mining, block evaluation
-// (plain and through each strategy's test_block), trace generation, and one
-// overlay flood.
+// (plain, the sliding window's per-pair kernel alone, and through each
+// strategy's test_block), trace generation, and one overlay flood.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "bench_common.hpp"
 
 #include "core/measures.hpp"
+#include "core/rule_probe.hpp"
 #include "core/strategy.hpp"
 #include "mining/incremental_miner.hpp"
 #include "sim/experiment.hpp"
@@ -55,6 +56,33 @@ void BM_BlockEvaluate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_BlockEvaluate);
+
+/// The block strategies' per-pair kernel alone, as the sliding window runs
+/// it: GUID dedup, the coverage test and the success test of block b against
+/// the rules the strategy mined from block b-1, through the RuleProbe it
+/// rebuilds at each regeneration.  No mining inside the timed loop.
+void BM_BlockSlidingKernel(benchmark::State& state) {
+  constexpr std::size_t kBlocks = 18;
+  const auto pairs = shared_pairs((kBlocks + 1) * 10'000);
+  const auto block_of = [&](std::size_t b) {
+    return std::span(pairs).subspan(b * 10'000, 10'000);
+  };
+  core::SlidingWindow strategy(10);
+  strategy.bootstrap(block_of(0));
+  std::vector<core::RuleProbe> probes;  // probes[b - 1] tests block b
+  for (std::size_t b = 1; b <= kBlocks; ++b) {
+    probes.emplace_back(strategy.current_ruleset());
+    benchmark::DoNotOptimize(strategy.test_block(block_of(b)));
+  }
+  core::GuidStates states;
+  std::size_t block = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::evaluate(probes[block - 1], block_of(block), states));
+    block = block % kBlocks + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * 10'000);
+}
+BENCHMARK(BM_BlockSlidingKernel);
 
 void BM_TraceGeneration(benchmark::State& state) {
   trace::TraceConfig config;

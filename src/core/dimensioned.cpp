@@ -80,8 +80,7 @@ BlockMeasures evaluate_dimensioned(const DimensionedRuleSet& rules,
       [&](const trace::QueryReplyPair& pair, std::uint32_t) {
         return rules.matches(pair.source_host, dimension_of(pair.query),
                              pair.replying_neighbor);
-      },
-      [](const trace::QueryReplyPair&) {});
+      });
 }
 
 }  // namespace aar::core

@@ -64,8 +64,7 @@ BlockMeasures evaluate_forwarding(const RuleSet& rules,
         const auto first = chosen.begin() + range.begin;
         return std::find(first, first + range.size, pair.replying_neighbor) !=
                first + range.size;
-      },
-      [](const QueryReplyPair&) {});
+      });
 }
 
 }  // namespace aar::core

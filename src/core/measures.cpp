@@ -6,7 +6,7 @@
 
 namespace aar::core {
 
-void GuidStates::begin_block(std::size_t pairs) {
+GuidStates::Pass GuidStates::begin_block(std::size_t pairs) {
   if (pairs > std::size_t{kMaxQuery} + 1) {
     throw std::length_error("GuidStates: a block holds at most 2^30 pairs");
   }
@@ -21,7 +21,7 @@ void GuidStates::begin_block(std::size_t pairs) {
     for (Slot& slot : slots_) slot.generation = 0;
     generation_ = 1;
   }
-  queries_ = 0;
+  return Pass(slots_.data(), mask_, shift_, generation_);
 }
 
 BlockMeasures evaluate(const RuleSet& ruleset,
@@ -33,15 +33,20 @@ BlockMeasures evaluate(const RuleSet& ruleset,
 BlockMeasures evaluate(const RuleSet& ruleset,
                        std::span<const QueryReplyPair> block,
                        GuidStates& states) {
+  return evaluate(RuleProbe(ruleset), block, states);
+}
+
+BlockMeasures evaluate(const RuleProbe& probe,
+                       std::span<const QueryReplyPair> block,
+                       GuidStates& states) {
   return evaluate_block(
       states, block,
       [&](const QueryReplyPair& pair, std::uint32_t) {
-        return ruleset.covers(pair.source_host);
+        return probe.covers(pair.source_host);
       },
       [&](const QueryReplyPair& pair, std::uint32_t) {
-        return ruleset.matches(pair.source_host, pair.replying_neighbor);
-      },
-      [](const QueryReplyPair&) {});
+        return probe.matches(pair.source_host, pair.replying_neighbor);
+      });
 }
 
 }  // namespace aar::core

@@ -10,16 +10,16 @@
 namespace aar::core {
 
 BlockMeasures Strategy::measure(Block block, bool count) {
-  if (!count) return evaluate(current(), block, guid_states_);
+  if (!count) return evaluate(probe_, block, guid_states_);
   if (worker_ == nullptr) {
-    spare_.count(block);
+    spare_.counts.count(block);
     counted_ = true;
-    return evaluate(current(), block, guid_states_);
+    return evaluate(probe_, block, guid_states_);
   }
-  worker_->submit([this, block] { spare_.count(block); });
+  worker_->submit([this, block] { spare_.counts.count(block); });
   BlockMeasures measures;
   try {
-    measures = evaluate(current(), block, guid_states_);
+    measures = evaluate(probe_, block, guid_states_);
   } catch (...) {
     worker_->wait();  // spare_ and the block must outlive the task
     throw;
@@ -41,10 +41,10 @@ void Strategy::regenerate(Block block) {
   // Slide the miner's window to exactly this block: the swapped-in counts
   // replace the previous window's, and the snapshot re-materializes only
   // antecedents whose counts actually changed.
-  if (!counted_) spare_.count(block);
+  if (!counted_) spare_.counts.count(block);
   counted_ = false;
-  miner_.replace_window(block, spare_);
-  miner_.snapshot();
+  miner_.replace_window(block, spare_.counts);
+  probe_.assign(miner_.snapshot());
   ++rulesets_generated_;
 }
 
@@ -166,13 +166,23 @@ IncrementalRuleset::IncrementalRuleset(std::uint32_t min_support,
 
 void IncrementalRuleset::bootstrap(Block first_block) {
   // No mined rule set — warm the decayed counts with the bootstrap block.
-  for (const QueryReplyPair& pair : first_block) train(pair);
+  for (const QueryReplyPair& pair : first_block) (void)train(pair);
 }
 
-void IncrementalRuleset::train(const QueryReplyPair& pair) {
-  ++pairs_seen_;
-  if (pairs_seen_ - pairs_at_last_decay_ >= kDecayStride) decay_all();
+bool IncrementalRuleset::train(const QueryReplyPair& pair) {
   const std::uint64_t key = pair_key(pair.source_host, pair.replying_neighbor);
+  if (++pairs_seen_ - pairs_at_last_decay_ >= kDecayStride) {
+    // The test reads the counts as they stood before the pair, so a sweep
+    // due now runs between the test and the count (once in 1,000 pairs).
+    const bool was_active = rule_active(pair.source_host, pair.replying_neighbor);
+    decay_all();
+    count(key, pair.source_host);
+    return was_active;
+  }
+  return count(key, pair.source_host);
+}
+
+bool IncrementalRuleset::count(std::uint64_t key, HostId source) {
   const std::size_t held = index_of_.size();
   std::uint32_t& index = index_of_.find_or_insert(key);
   const bool fresh = index_of_.size() != held;
@@ -185,8 +195,9 @@ void IncrementalRuleset::train(const QueryReplyPair& pair) {
   const bool was_active = !fresh && count >= min_effective_;
   count += 1.0;
   if (!was_active && count >= min_effective_) {
-    ++active_of_.find_or_insert(pair.source_host);
+    ++active_of_.find_or_insert(source);
   }
+  return was_active;
 }
 
 void IncrementalRuleset::decay_all() {
@@ -262,10 +273,7 @@ BlockMeasures IncrementalRuleset::test_block(Block block) {
       [this](const QueryReplyPair& pair, std::uint32_t) {
         return host_covered(pair.source_host);
       },
-      [this](const QueryReplyPair& pair, std::uint32_t) {
-        return rule_active(pair.source_host, pair.replying_neighbor);
-      },
-      [this](const QueryReplyPair& pair) { train(pair); });
+      [this](const QueryReplyPair& pair, std::uint32_t) { return train(pair); });
 }
 
 // --------------------------------------------------------------- streaming
@@ -284,11 +292,7 @@ StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
 }
 
 void StreamingRuleset::bootstrap(Block first_block) {
-  for (const QueryReplyPair& pair : first_block) train(pair);
-}
-
-bool StreamingRuleset::rule_active(HostId source, HostId replier) const {
-  return active(counter_.counts(pair_key(source, replier)).total());
+  for (const QueryReplyPair& pair : first_block) (void)train(pair);
 }
 
 bool StreamingRuleset::host_covered(HostId source) const {
@@ -299,7 +303,7 @@ std::uint32_t StreamingRuleset::active_rules(HostId source) const {
   return active_of_source(active_of_, source);
 }
 
-void StreamingRuleset::train(const QueryReplyPair& pair) {
+bool StreamingRuleset::train(const QueryReplyPair& pair) {
   const std::uint64_t key = pair_key(pair.source_host, pair.replying_neighbor);
   // A prune takes an entry's combined count down to its previous count.
   // The trained key is settled once, from its counts before and after the
@@ -322,6 +326,7 @@ void StreamingRuleset::train(const QueryReplyPair& pair) {
       if (active(previous)) ++active_of_.find_or_insert(source_of(held));
     });
   }
+  return active(added.before);
 }
 
 BlockMeasures StreamingRuleset::test_block(Block block) {
@@ -330,10 +335,7 @@ BlockMeasures StreamingRuleset::test_block(Block block) {
       [this](const QueryReplyPair& pair, std::uint32_t) {
         return host_covered(pair.source_host);
       },
-      [this](const QueryReplyPair& pair, std::uint32_t) {
-        return rule_active(pair.source_host, pair.replying_neighbor);
-      },
-      [this](const QueryReplyPair& pair) { train(pair); });
+      [this](const QueryReplyPair& pair, std::uint32_t) { return train(pair); });
 }
 
 }  // namespace aar::core

@@ -19,6 +19,7 @@
 
 #include "assoc/stream.hpp"
 #include "core/measures.hpp"
+#include "core/rule_probe.hpp"
 #include "core/ruleset.hpp"
 #include "mining/incremental_miner.hpp"
 #include "util/flat_map.hpp"
@@ -85,7 +86,7 @@ class Strategy {
   /// Drop the spare table's count when the block is not regenerated after
   /// all (adaptive counts every block before its measures decide).
   void discard_count() noexcept {
-    spare_.clear();
+    spare_.counts.clear();
     counted_ = false;
   }
 
@@ -99,10 +100,27 @@ class Strategy {
   }
 
  private:
+  static constexpr std::size_t kCacheLine = 64;
+
+  /// The counting worker's table, on cache lines of its own: the worker
+  /// writes it while the caller evaluates, and a line shared with state the
+  /// caller writes would bounce between the two cores on every probe.
+  struct alignas(kCacheLine) WorkerTable {
+    mining::ShardCounts counts;  ///< next window's counts; empty unless counted_
+  };
+  // A type aligned to a line and a whole number of lines long starts and
+  // ends on line boundaries wherever it is placed, so no other member of
+  // the Strategy (all of them written by the calling thread) shares a line
+  // with it.  The Strategy inherits the alignment, and new honours it.
+  static_assert(alignof(WorkerTable) == kCacheLine &&
+                    sizeof(WorkerTable) % kCacheLine == 0,
+                "the worker-written table must own every line it touches");
+
   mining::IncrementalRuleMiner miner_;
+  RuleProbe probe_;  ///< the current rule set's probe, rebuilt by regenerate()
   GuidStates guid_states_;
-  mining::ShardCounts spare_;  ///< next window's counts; empty unless counted_
-  bool counted_ = false;       ///< spare_ holds the block being tested
+  WorkerTable spare_;
+  bool counted_ = false;  ///< spare_ holds the block being tested
   util::ThreadPool* worker_ = nullptr;
   std::uint64_t rulesets_generated_ = 0;
 };
@@ -212,7 +230,11 @@ class IncrementalRuleset final : public Strategy {
   [[nodiscard]] double decayed_count(HostId source, HostId replier) const;
 
  private:
-  void train(const QueryReplyPair& pair);
+  /// Test-then-train one pair with one probe of the pair table: returns
+  /// whether its rule was active before the pair, then counts it.
+  bool train(const QueryReplyPair& pair);
+  /// Count `key` (one probe); returns whether it was active before.
+  bool count(std::uint64_t key, HostId source);
   [[nodiscard]] bool rule_active(HostId source, HostId replier) const;
   [[nodiscard]] bool host_covered(HostId source) const;
   void decay_all();
@@ -266,13 +288,14 @@ class StreamingRuleset final : public Strategy {
   [[nodiscard]] std::uint32_t active_rules(HostId source) const;
 
  private:
-  void train(const QueryReplyPair& pair);
+  /// Test-then-train one pair with one probe of the pair table: returns
+  /// whether its rule was active before the pair, then counts it.
+  bool train(const QueryReplyPair& pair);
   /// A combined count makes a rule active when it reaches the (possibly
   /// fractional) threshold, compared in double.
   [[nodiscard]] bool active(std::uint64_t count) const {
     return static_cast<double>(count) >= min_effective_;
   }
-  [[nodiscard]] bool rule_active(HostId source, HostId replier) const;
   [[nodiscard]] bool host_covered(HostId source) const;
 
   double min_effective_;

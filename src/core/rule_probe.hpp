@@ -38,10 +38,10 @@ class WindowSet {
 
   WindowSet() { assign({}); }
 
-  /// Make `sorted` (ascending, distinct) the whole set.  The table starts at
-  /// load at most 1/4 and doubles until every key fits in its home window,
-  /// at most kMaxGrowth times.
-  void assign(std::span<const std::uint64_t> sorted);
+  /// Make `keys` (distinct, in any order) the whole set.  The table starts
+  /// at load at most 1/4 and doubles until every key fits in its home
+  /// window, at most kMaxGrowth times.  May reorder `keys`.
+  void assign(std::span<std::uint64_t> keys);
 
   [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
     const std::uint64_t* window = slots_.data() + home(key, shift_);
@@ -68,7 +68,7 @@ class WindowSet {
  private:
   /// Place every key, or return false at the first that fits no window
   /// (with `spill`, put that one on the overflow list instead).
-  [[nodiscard]] bool fill(std::span<const std::uint64_t> sorted, bool spill);
+  [[nodiscard]] bool fill(std::span<const std::uint64_t> keys, bool spill);
 
   std::vector<std::uint64_t> slots_;
   std::vector<std::uint64_t> overflow_;

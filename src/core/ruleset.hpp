@@ -22,6 +22,8 @@ class IncrementalRuleMiner;  // the single befriended RuleSet writer
 
 namespace aar::core {
 
+class RuleProbe;  // reads the index directly to mirror it
+
 using trace::HostId;
 using trace::QueryReplyPair;
 
@@ -119,6 +121,7 @@ class RuleSet {
   // (src/mining/) is its one writer, updating only changed antecedents in
   // place so snapshots avoid re-materializing the whole set.
   friend class aar::mining::IncrementalRuleMiner;
+  friend class RuleProbe;
 
   /// One antecedent's range of consequents_; size 0 marks an empty slot
   /// (every stored antecedent has at least one rule).

@@ -1,6 +1,7 @@
 #include "mining/incremental_miner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -21,6 +22,15 @@ void PairRing::pop_front() noexcept {
   assert(count_ > 0);
   head_ = (head_ + 1) & (slots_.size() - 1);
   --count_;
+}
+
+void PairRing::assign(std::span<const QueryReplyPair> pairs) {
+  if (pairs.size() > slots_.size()) {
+    slots_.resize(std::bit_ceil(std::max<std::size_t>(16, pairs.size())));
+  }
+  std::copy(pairs.begin(), pairs.end(), slots_.begin());
+  head_ = 0;
+  count_ = pairs.size();
 }
 
 void PairRing::grow() {
@@ -125,8 +135,7 @@ void IncrementalRuleMiner::replace_window(std::span<const QueryReplyPair> block,
     mark_dirty(antecedent, state);
   });
   evictions_ += window_.size();  // the old window retires wholesale
-  window_.clear();
-  for (const QueryReplyPair& pair : block) window_.push_back(pair);
+  window_.assign(block);
 
   // The table already holds the whole count: take it as is and hand the
   // retired table back cleared, for the caller to count into next.

@@ -65,6 +65,8 @@ class PairRing {
  public:
   void push_back(const QueryReplyPair& pair);
   void pop_front() noexcept;
+  /// Make `pairs` the whole ring, oldest first, in one copy.
+  void assign(std::span<const QueryReplyPair> pairs);
   [[nodiscard]] const QueryReplyPair& front() const noexcept {
     return slots_[head_];
   }

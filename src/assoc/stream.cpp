@@ -38,6 +38,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> LossyCounter::frequent(
 void LossyCounter::clear() {
   table_.clear();
   items_ = 0;
+  in_bucket_ = 0;
   current_bucket_ = 1;
 }
 

@@ -122,6 +122,8 @@ class LossyCounter {
   std::uint64_t bucket_width_;   ///< ceil(1/ε)
   std::uint64_t current_bucket_ = 1;
   std::uint64_t items_ = 0;
+  /// items_ % bucket_width_, kept as a count so add() divides nothing.
+  std::uint64_t in_bucket_ = 0;
   util::FlatCountMap<std::uint64_t, Entry> table_;
 };
 
@@ -137,7 +139,8 @@ LossyCounter::Added LossyCounter::add(std::uint64_t key, OnPrune&& on_prune) {
     ++entry.count;
   }
   added.after = added.before + 1;
-  if (items_ % bucket_width_ != 0) return added;
+  if (++in_bucket_ != bucket_width_) return added;
+  in_bucket_ = 0;
   table_.retain([&](std::uint64_t held, Entry& pruned) {
     if (pruned.count == 0 || pruned.count + pruned.delta > current_bucket_) {
       return true;
@@ -164,6 +167,7 @@ void LossyCounter::rotate(Visit&& visit) {
     return true;
   });
   items_ = 0;
+  in_bucket_ = 0;
   current_bucket_ = 1;
 }
 

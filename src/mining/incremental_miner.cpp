@@ -126,24 +126,24 @@ std::size_t IncrementalRuleMiner::purge_host(HostId host) {
 
 void IncrementalRuleMiner::replace_window(std::span<const QueryReplyPair> block,
                                           ShardCounts& counts) {
-  // Serial add(block) + evict_to(block.size()) marks dirty every antecedent
-  // of the outgoing window (the current counts_ domain) and every antecedent
-  // of the incoming block.  An antecedent present in both is queued twice
-  // (the old entry leaves with its dirty flag) — rebuild is idempotent, so
-  // duplicates only cost a redundant rebuild.
-  counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
-    mark_dirty(antecedent, state);
-  });
+  // Serial add(block) + evict_to(block.size()) queues every antecedent of
+  // the incoming block and every antecedent of the outgoing window, each
+  // once.  The table already holds the whole count: take it as is, queue
+  // its antecedents, then those of the retired table that the block does
+  // not count (they leave), and hand the retired table back cleared, for
+  // the caller to count into next.
   evictions_ += window_.size();  // the old window retires wholesale
   window_.assign(block);
-
-  // The table already holds the whole count: take it as is and hand the
-  // retired table back cleared, for the caller to count into next.
   std::swap(counts_, counts.counts_);
-  counts.clear();
   counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
     mark_dirty(antecedent, state);
   });
+  counts.counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
+    if (!state.dirty && counts_.find(antecedent) == nullptr) {
+      dirty_.push_back(antecedent);
+    }
+  });
+  counts.clear();
 }
 
 void IncrementalRuleMiner::clear() {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "core/rule_probe.hpp"
+
 namespace aar::core {
 
 GuidStates::Pass GuidStates::begin_block(std::size_t pairs) {

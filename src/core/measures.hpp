@@ -24,11 +24,12 @@
 #include <span>
 #include <vector>
 
-#include "core/rule_probe.hpp"
 #include "core/ruleset.hpp"
 #include "trace/record.hpp"
 
 namespace aar::core {
+
+class RuleProbe;
 
 struct BlockMeasures {
   std::uint64_t total_queries = 0;   ///< N  (unique answered queries)

@@ -166,7 +166,7 @@ IncrementalRuleset::IncrementalRuleset(std::uint32_t min_support,
 
 void IncrementalRuleset::bootstrap(Block first_block) {
   // No mined rule set — warm the decayed counts with the bootstrap block.
-  for (const QueryReplyPair& pair : first_block) (void)train(pair);
+  for (const QueryReplyPair& pair : first_block) train(pair);
 }
 
 bool IncrementalRuleset::train(const QueryReplyPair& pair) {
@@ -292,7 +292,7 @@ StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
 }
 
 void StreamingRuleset::bootstrap(Block first_block) {
-  for (const QueryReplyPair& pair : first_block) (void)train(pair);
+  for (const QueryReplyPair& pair : first_block) train(pair);
 }
 
 bool StreamingRuleset::host_covered(HostId source) const {

@@ -68,12 +68,13 @@ class Strategy {
   [[nodiscard]] util::ThreadPool* worker() const noexcept { return worker_; }
 
  protected:
-  /// Evaluate the current rule set against `block`.  With `count`, also
-  /// count `block` into the spare table that the next regenerate(block)
-  /// installs: on the attached worker while the evaluation runs, inline
-  /// otherwise.  Counting never touches the rule set the evaluation reads
-  /// (only the miner's snapshot() writes it), so the overlap is exact.  The
-  /// caller's wait for the worker is timed under obs "core.count_wait".
+  /// Evaluate the current rule set against `block`, through its probe.
+  /// With `count`, also count `block` into the spare table that the next
+  /// regenerate(block) installs: on the attached worker while the
+  /// evaluation runs, inline otherwise.  Counting never touches the rule
+  /// set or the probe the evaluation reads (only regenerate() writes them),
+  /// so the overlap is exact.  The caller's wait for the worker is timed
+  /// under obs "core.count_wait".
   [[nodiscard]] BlockMeasures measure(Block block, bool count = false);
 
   /// Make `block` the miner's whole window and snapshot it: the spare table
@@ -93,11 +94,6 @@ class Strategy {
   /// This strategy's GUID table, reused block after block by measure() and
   /// by the prequential strategies' evaluate_block loops.
   [[nodiscard]] GuidStates& guid_states() noexcept { return guid_states_; }
-
-  /// The rule set from the most recent regenerate() (empty before the first).
-  [[nodiscard]] const RuleSet& current() const noexcept {
-    return miner_.ruleset();
-  }
 
  private:
   static constexpr std::size_t kCacheLine = 64;

@@ -222,7 +222,9 @@ TEST(RuleProbe, AnOverflowingWindowGrowsTheTable) {
   const std::vector<HostId> ids =
       crowding(WindowSet::kWindow + 1, 6, [](HostId v) { return std::uint64_t{v}; });
   std::string rows;
-  for (const HostId id : ids) rows += std::to_string(id) + "," + std::to_string(id) + ",1\n";
+  for (const HostId id : ids) {
+    rows += std::to_string(id) + "," + std::to_string(id) + ",1\n";
+  }
   const RuleSet rules = loaded(rows);
   const RuleProbe probe(rules);
   EXPECT_GT(probe.antecedents().capacity(), 64u);
